@@ -191,13 +191,28 @@ def cmd_forecast(args) -> int:
     }
     if args.truth:
         truth_snaps = load_snapshots(args.truth)
+        coords = truth_snaps.grid.coords
+        if coords.shape != model.grid.coords.shape:
+            raise ValueError(
+                f"truth grid has {coords.shape[0]} nodes, the model grid "
+                f"{model.grid.n_nodes}"
+            )
+        offset = float(np.max(np.abs(coords - model.grid.coords)))
+        if offset > 0.0:
+            raise ValueError(
+                f"truth grid differs from the model grid: largest coordinate "
+                f"offset {offset:.3g}"
+            )
         idx = int(np.argmin(np.abs(truth_snaps.times - fc.t_query)))
         if abs(truth_snaps.times[idx] - fc.t_query) > 1e-9:
             raise ValueError(
                 f"truth dataset has no snapshot at t={fc.t_query:.6g}"
             )
+        # a moving-boundary forecast is scored over its predicted fluid region
+        fluid = model.fluid_mask_at(fc.t_query)
+        sub = slice(None) if fluid is None else fluid
         summary["relative_error"] = relative_error(
-            fc.field, truth_snaps.fields[idx], model.grid
+            fc.field[sub], truth_snaps.fields[idx][sub], _subgrid(model.grid, sub)
         )
     if fc.correction_report is not None and fc.correction_report.rows:
         fc.correction_report.to_csv(out / "correction_report.csv")

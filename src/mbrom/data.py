@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "SpatialGrid",
@@ -25,6 +29,14 @@ __all__ = [
     "load_snapshots",
     "save_dataset",
 ]
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN/inf, naming the first offending row (1-based)."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        row = int(np.argmax(bad.reshape(a.shape[0], -1).any(axis=1))) + 1
+        raise ValueError(f"non-finite {what} {row}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,8 @@ class SpatialGrid:
             raise ValueError("grid needs at least 2 nodes")
         if w.shape[0] != coords.shape[0]:
             raise ValueError("quad_weights length does not match node count")
+        _require_finite(coords, "grid coordinate at node")
+        _require_finite(w, "quadrature weight at node")
         if not np.all(w > 0):
             raise ValueError("all quadrature weights must be positive")
         # duplicate nodes make interpolation ill-posed
@@ -113,6 +127,7 @@ class BoundaryTrack:
         object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
         if self.values.shape[1] != len(self.names):
             raise ValueError("boundary values column count != number of names")
+        _require_finite(self.values, "boundary value at row")
 
     @property
     def n_params(self) -> int:
@@ -149,6 +164,8 @@ class SnapshotSet:
             raise ValueError(f"{self.times.shape[0]} times for {M} field rows")
         if N != grid.n_nodes:
             raise ValueError(f"fields have {N} columns, grid has {grid.n_nodes} nodes")
+        _require_finite(self.times, "time at row")
+        _require_finite(self.fields, "field value at row")
         dt = np.diff(self.times)
         if np.any(dt <= 0):
             row = int(np.argmax(dt <= 0)) + 2
@@ -210,34 +227,152 @@ def _poly_terms(dim: int, order: int) -> list[tuple[int, ...]]:
 
 
 def _poly_matrix(pts: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
-    cols = [np.prod([pts[:, d] ** e[d] for d in range(pts.shape[1])], axis=0) for e in terms]
-    return np.column_stack(cols)
+    """Monomials ``terms`` evaluated at each row of ``pts``: (N, n_terms)."""
+    order = max(sum(e) for e in terms)
+    pows = []
+    for x in pts.T:
+        pows.append([np.ones_like(x)])
+        for _ in range(order):
+            pows[-1].append(pows[-1][-1] * x)
+    return np.column_stack(
+        [reduce(operator.mul, (pows[d][p] for d, p in enumerate(e))) for e in terms]
+    )
+
+
+def _term_name(e: tuple[int, ...]) -> str:
+    axes = "xy"
+    parts = [
+        axes[d] if p == 1 else f"{axes[d]}^{p}"
+        for d, p in enumerate(e)
+        if p > 0
+    ]
+    return "*".join(parts) if parts else "1"
+
+
+def _balls(
+    tree: cKDTree, pts: np.ndarray, targets: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of ``pts`` (indexed by ``tree``) within distance ``r`` of each target.
+
+    Returns (T, K) indices and squared distances, each row ordered by the
+    squared distance summed over axes, ties to the lower index, and padded
+    with d2 = inf.  The query radius is widened by 1e-9 so that rounding in
+    the tree cannot drop a node; callers test the exact d2 themselves.
+    """
+    balls = tree.query_ball_point(targets, r * (1.0 + 1e-9), return_sorted=True)
+    sizes = np.array([len(b) for b in balls])
+    slot = np.arange(sizes.max()) < sizes[:, None]
+    idx = np.zeros(slot.shape, dtype=int)
+    idx[slot] = np.concatenate(balls)
+    d2 = np.where(slot, np.sum((pts[idx] - targets[:, None, :]) ** 2, axis=2), np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
+
+
+def _nearest(
+    tree: cKDTree, pts: np.ndarray, targets: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest of ``pts`` to each target, as (T, k) indices and d2.
+
+    Row for row this is ``np.argsort(d2, kind="stable")[:k]`` of a
+    brute-force scan: the ball out to the tree's k-th distance holds every
+    node that ties with or undercuts the k nearest.
+    """
+    k = min(k, pts.shape[0])
+    kth = tree.query(targets, k=[k])[0][:, 0]
+    idx, d2 = _balls(tree, pts, targets, kth)
+    return idx[:, :k], d2[:, :k]
+
+
+def _local_fit(
+    offsets: np.ndarray,
+    values: np.ndarray,
+    weights: np.ndarray,
+    terms: list[tuple[int, ...]],
+    min_norm: bool = False,
+) -> np.ndarray:
+    """Weighted least-squares polynomial fits around a batch of target nodes.
+
+    ``offsets`` (T, K, dim) are neighbor positions relative to each target,
+    already divided by that target's length scale; ``values`` and
+    ``weights`` are (T, K), and padding slots carry weight 0.  Returns the
+    (T, n) coefficients in the centered, scaled monomial basis; column 0 is
+    each fit's value at its target.  The (T, n, n) moment matrices are solved
+    by Cholesky.  A fit whose smallest pivot is at most 1e-6 of its largest
+    does not resolve every term: with ``min_norm`` it gets the minimum-norm
+    least-squares solution (as ``np.linalg.lstsq`` gives), otherwise
+    ValueError names the direction the worst-conditioned fit cannot resolve.
+    """
+    T, K, dim = offsets.shape
+    n = len(terms)
+    mm = np.empty((T, n, n))
+    rhs = np.empty((T, n))
+    step = max(1, 4096 // K)  # bounds peak memory: ~4096 design-matrix rows at a time
+    for a in range(0, T, step):
+        P = _poly_matrix(offsets[a : a + step].reshape(-1, dim), terms).reshape(-1, K, n)
+        Pw = P * weights[a : a + step, :, None]
+        mm[a : a + step] = np.matmul(Pw.transpose(0, 2, 1), P)
+        rhs[a : a + step] = np.einsum("tkn,tk->tn", Pw, values[a : a + step])
+    try:
+        L = np.linalg.cholesky(mm)
+        d = np.diagonal(L, axis1=1, axis2=2)
+        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+    except np.linalg.LinAlgError:  # some fit is not positive definite
+        L, weak = None, np.ones(T, dtype=bool)
+    if weak.any() and not min_norm:
+        evals, evecs = np.linalg.eigh(mm)
+        t = np.argmin(evals[:, 0] / evals[:, -1])
+        worst = np.argmax(np.abs(evecs[t, :, 0]))
+        raise ValueError(
+            f"rank-deficient moment matrix: neighbors do not resolve the "
+            f"{_term_name(terms[worst])} direction"
+        )
+    coef = np.empty((T, n))
+    if not weak.all():
+        y = np.linalg.solve(L[~weak], rhs[~weak, :, None])
+        coef[~weak] = np.linalg.solve(L[~weak].transpose(0, 2, 1), y)[:, :, 0]
+    if weak.any():
+        sw = np.sqrt(weights[weak])
+        A = _poly_matrix(offsets[weak].reshape(-1, dim), terms).reshape(-1, K, n)
+        b = (sw * values[weak])[:, :, None]
+        coef[weak] = (np.linalg.pinv(A * sw[:, :, None]) @ b)[:, :, 0]
+    return coef
 
 
 def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, order: int) -> np.ndarray:
-    """One-sided least-squares polynomial extension into the occluded nodes."""
+    """One-sided least-squares polynomial extension into the occluded nodes.
+
+    Each occluded node is fitted, unweighted, over its k = 3 x terms nearest
+    fluid nodes, ties in distance going to the lower node index; offsets are
+    scaled by the largest coordinate offset in the neighbor set.  Neighbors
+    that do not resolve every term (all on one grid line behind a straight
+    edge, say) get the minimum-norm fit.
+    """
     out = values.copy()
     occ = np.flatnonzero(~fluid)
     if occ.size == 0:
         return out
     flu = np.flatnonzero(fluid)
     terms = _poly_terms(grid.dim, order)
-    k = 3 * len(terms)
     if flu.size < len(terms):
         raise ValueError(
             f"occluded node with only {flu.size} fluid neighbors, "
             f"need at least {len(terms)} for order {order}"
         )
-    coords = grid.coords
-    for j in occ:
-        d2 = np.sum((coords[flu] - coords[j]) ** 2, axis=1)
-        sel = flu[np.argsort(d2)[:k]]
-        centered = coords[sel] - coords[j]
-        scale = np.max(np.abs(centered))
-        scale = scale if scale > 0 else 1.0
-        A = _poly_matrix(centered / scale, terms)
-        c, *_ = np.linalg.lstsq(A, values[sel], rcond=None)
-        out[j] = c[0]
+    pts = grid.coords[flu]
+    targets = grid.coords[occ]
+    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * len(terms))
+    centered = pts[sel] - targets[:, None, :]
+    scale = np.max(np.abs(centered), axis=(1, 2))
+    scale[scale == 0] = 1.0
+    coef = _local_fit(
+        centered / scale[:, None, None],
+        values[flu[sel]],
+        np.ones(sel.shape),
+        terms,
+        min_norm=True,
+    )
+    out[occ] = coef[:, 0]
     return out
 
 
@@ -250,9 +385,10 @@ def fill_occluded(
     """Assign values to occluded nodes so POD can run on the full domain.
 
     ``ls_extrapolation`` fits a least-squares polynomial of the given order
-    over the nearest fluid nodes of each snapshot and evaluates it at the
-    occluded node.  ``rigid_motion`` stamps the body's own value (per
-    snapshot, from ``body_values``) onto the occluded nodes.  Masks are kept
+    over the k = 3 x terms nearest fluid nodes of each snapshot (equal
+    distances in order of node index) and evaluates it at the occluded
+    node.  ``rigid_motion`` stamps the body's own value (per snapshot, from
+    ``body_values``) onto the occluded nodes.  Masks are kept
     so later stages still know which nodes carried real data.
     """
     if strategy not in ("ls_extrapolation", "rigid_motion"):
@@ -293,6 +429,7 @@ def fill_occluded(
 
 def _read_matrix(path: Path) -> np.ndarray:
     rows = []
+    lines = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -301,11 +438,16 @@ def _read_matrix(path: Path) -> np.ndarray:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path.name}: non-numeric entry at row {i}") from exc
+            lines.append(i)
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path.name}: ragged row at row {i}")
     if not rows:
         raise ValueError(f"{path.name}: empty matrix file")
-    return np.asarray(rows, dtype=float)
+    mat = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path.name}: non-finite entry at row {lines[bad[0]]}")
+    return mat
 
 
 def load_snapshots(manifest_path: str | Path) -> SnapshotSet:
@@ -358,6 +500,8 @@ def load_snapshots(manifest_path: str | Path) -> SnapshotSet:
                     vals.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ValueError(f"{bpath.name}: non-numeric entry at row {i}") from exc
+                if not all(map(math.isfinite, vals[-1])):
+                    raise ValueError(f"{bpath.name}: non-finite entry at row {i}")
         boundary = BoundaryTrack(names=names, values=np.asarray(vals))
 
     return SnapshotSet(

@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial import cKDTree
 
-from .data import FMT, SpatialGrid, _poly_matrix, _poly_terms
+from .data import FMT, SpatialGrid, _balls, _local_fit, _nearest, _poly_terms
 
 __all__ = [
     "MlsConfig",
@@ -41,7 +41,8 @@ class MlsConfig:
     ``kernel_len`` of None lets ``correct_field`` seed the radius from the
     grid spacing.  ``min_neighbor_factor`` times the number of polynomial
     terms is the neighbor count required before a fit is attempted; the
-    radius grows by 1.5x up to ``max_growths`` times to reach it.
+    radius is the first of kernel_len x 1.5^i, i = 0..``max_growths``, that
+    holds that many trusted nodes strictly inside.
     """
 
     order: int = 3
@@ -69,16 +70,6 @@ class MlsConfig:
 
     def required_neighbors(self, dim: int) -> int:
         return int(np.ceil(self.min_neighbor_factor * self.n_terms(dim)))
-
-
-def _term_name(e: tuple[int, ...]) -> str:
-    axes = "xy"
-    parts = [
-        axes[d] if p == 1 else f"{axes[d]}^{p}"
-        for d, p in enumerate(e)
-        if p > 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def mls_fit(
@@ -114,23 +105,7 @@ def mls_fit(
     if np.any(d >= h):
         raise ValueError("neighbor outside the support radius")
     w = np.asarray(cfg.weight(d / h), dtype=float)
-    P = _poly_matrix((points - xp) / h, terms)
-    Pauw = P * w[:, None]
-    mm = Pauw.T @ P
-    rhs = Pauw.T @ values
-    try:
-        c, low = cho_factor(mm, lower=True)
-        diag = np.diag(c)
-        if diag.min() ** 2 <= 1e-12 * diag.max() ** 2:
-            raise np.linalg.LinAlgError("pivot below tolerance")
-        return cho_solve((c, low), rhs)
-    except (np.linalg.LinAlgError, ValueError):
-        evals, evecs = np.linalg.eigh(mm)
-        worst = np.argmax(np.abs(evecs[:, 0]))
-        raise ValueError(
-            f"rank-deficient moment matrix: neighbors do not resolve the "
-            f"{_term_name(terms[worst])} direction"
-        ) from None
+    return _local_fit(((points - xp) / h)[None], values[None], w[None], terms)[0]
 
 
 def mls_value(
@@ -173,10 +148,13 @@ def correct_field(
 
     ``exposed`` holds indices (or a boolean mask) of nodes whose values came
     from filled data; ``fluid_history`` flags nodes that carried real data
-    throughout the window and remain in the fluid at the query time.  The
-    support radius starts at the configured kernel length (default 3x grid
-    spacing) and grows by 1.5x per attempt; nodes still short of neighbors
-    at the growth cap are left untouched and reported.
+    throughout the window and remain in the fluid at the query time.  Support
+    radii come from the ladder h0, 1.5 h0, 1.5^2 h0, ... (``max_growths``
+    steps; h0 is the configured kernel length, default 3x grid spacing): each
+    node takes the first rung strictly beyond its distance to its
+    ``required_neighbors``-th nearest trusted node, and fits over the trusted
+    nodes inside that radius.  Nodes beyond the last rung are left untouched
+    and reported.
     """
     field_values = np.asarray(field_values, dtype=float)
     fluid_history = np.asarray(fluid_history, dtype=bool).ravel()
@@ -194,26 +172,40 @@ def correct_field(
     if exposed.size == 0:
         return corrected, report
 
-    h0 = cfg.kernel_len if cfg.kernel_len is not None else 3.0 * grid.spacing()
+    ladder = [cfg.kernel_len if cfg.kernel_len is not None else 3.0 * grid.spacing()]
+    for _ in range(cfg.max_growths):
+        ladder.append(ladder[-1] * 1.5)
     need = cfg.required_neighbors(grid.dim)
     hist_idx = np.flatnonzero(fluid_history)
     hist_pts = grid.coords[hist_idx]
+    xp = grid.coords[exposed]
 
-    for j in exposed:
-        xp = grid.coords[j]
-        d = np.sqrt(np.sum((hist_pts - xp) ** 2, axis=1))
-        h = h0
-        for _ in range(cfg.max_growths + 1):
-            inside = d < h
-            if inside.sum() >= need:
-                break
-            h *= 1.5
-        else:
-            report.uncorrected.append(int(j))
-            continue
-        sel = hist_idx[inside]
-        new_val = mls_value(xp, grid.coords[sel], corrected[sel],
-                            cfg, h)
-        report.rows.append((int(j), float(h), float(field_values[j]), new_val))
-        corrected[j] = new_val
+    rung = np.full(exposed.size, len(ladder))
+    if hist_idx.size >= need:
+        tree = cKDTree(hist_pts)
+        _, d2 = _nearest(tree, hist_pts, xp, need)
+        rung = np.searchsorted(ladder, np.sqrt(d2[:, -1]), side="right")
+    fit = rung < len(ladder)
+    report.uncorrected = exposed[~fit].tolist()
+    if not fit.any():
+        return corrected, report
+
+    xp = xp[fit]
+    h = np.asarray(ladder)[rung[fit]]
+    sel, d2 = _balls(tree, hist_pts, xp, h)
+    d = np.sqrt(d2)
+    w = np.where(d < h[:, None], cfg.weight(d / h[:, None]), 0.0)
+    new_vals = _local_fit(
+        (hist_pts[sel] - xp[:, None, :]) / h[:, None, None],
+        field_values[hist_idx[sel]],
+        w,
+        _poly_terms(grid.dim, cfg.order),
+    )[:, 0]
+
+    nodes = exposed[fit]
+    report.rows = [
+        (int(j), float(hj), float(field_values[j]), float(v))
+        for j, hj, v in zip(nodes, h, new_vals)
+    ]
+    corrected[nodes] = new_vals
     return corrected, report

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
 from mbrom.cli import main
+from mbrom.data import save_dataset
+from mbrom.rom import load_rom_model
 
 
 def read_csv(path):
@@ -257,3 +260,49 @@ class TestAdaptive:
         assert all(a < b for a, b in zip(stars, stars[1:])) or len(stars) == 1
         errs = [float(r[6]) for r in rows]
         assert all(e <= 0.1 for e in errs)
+
+
+@pytest.fixture(scope="module")
+def bubble_model(tmp_path_factory):
+    base = tmp_path_factory.mktemp("bubble")
+    assert main(["gen", "bubble", "--out", str(base / "ds")]) == 0
+    assert main(["build", str(base / "ds"), "--out", str(base / "model")]) == 0
+    return base / "model"
+
+
+class TestForecastTruthMovingBoundary:
+    def test_shifted_truth_grid_refused(self, bubble_model, tmp_path, capsys):
+        # a longer window moves the generated grid's inner edge by ~1.7e-4
+        truth = tmp_path / "truth"
+        assert main([
+            "gen", "bubble", "--t1", "51", "--tm", "69", "--m", "19",
+            "--out", str(truth),
+        ]) == 0
+        rc = main([
+            "forecast", str(bubble_model), "--t", "64", "--force",
+            "--truth", str(truth), "--out", str(tmp_path / "fc"),
+        ])
+        assert rc == 1
+        assert "largest coordinate offset 0.000172" in capsys.readouterr().err
+
+    def test_error_over_predicted_fluid_region(self, bubble_model, tmp_path):
+        cfg = BubbleConfig()
+        same_grid = BubbleConfig(r_min=cfg.inner_edge(51.0, 60.0))
+        snaps, _ = bubble_snapshots(same_grid, 51.0, 69.0, 19)
+        save_dataset(snaps, tmp_path / "truth")
+        out = tmp_path / "fc"
+        assert main([
+            "forecast", str(bubble_model), "--t", "64", "--force",
+            "--truth", str(tmp_path / "truth"), "--out", str(out),
+        ]) == 0
+        err = json.loads((out / "summary.json").read_text())["relative_error"]
+
+        fluid = load_rom_model(bubble_model).fluid_mask_at(64.0)
+        field = read_csv(out / "field.csv")
+        r, u = field[fluid, 0], field[fluid, 1]
+        w = snaps.grid.quad_weights[fluid]
+        truth = snaps.fields[13][fluid]
+        expected = np.sqrt(np.sum(w * (u - truth) ** 2) / np.sum(w * truth**2))
+        assert err == pytest.approx(expected, rel=1e-9)
+        assert err < 0.05  # over the whole grid, cavity nodes push it to ~0.58
+        np.testing.assert_allclose(truth, bubble_strain(r, 64.0, cfg), rtol=1e-12)

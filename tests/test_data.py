@@ -268,3 +268,47 @@ class TestFillOccluded:
         s = SnapshotSet(g, [0.0, 1.0], u, masks=[DomainMask(fluid)] * 2)
         out = fill_occluded(s, "ls_extrapolation", order=2)
         np.testing.assert_allclose(out.fields[0], p, atol=1e-9)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid(self, bad):
+        coords = np.linspace(0.0, 1.0, 4)[:, None]
+        coords[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite grid coordinate at node 3"):
+            SpatialGrid(dim=1, coords=coords, quad_weights=np.ones(4))
+        w = np.ones(4)
+        w[1] = bad
+        with pytest.raises(ValueError, match="non-finite quadrature weight at node 2"):
+            SpatialGrid(dim=1, coords=np.linspace(0.0, 1.0, 4)[:, None], quad_weights=w)
+
+    def test_snapshot_times_and_fields(self):
+        g = unit_grid(3)
+        with pytest.raises(ValueError, match="non-finite time at row 2"):
+            SnapshotSet(g, [0.0, np.nan], np.zeros((2, 3)))
+        fields = np.zeros((3, 3))
+        fields[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite field value at row 3"):
+            SnapshotSet(g, [0.0, 1.0, 2.0], fields)
+
+    def test_boundary_values(self):
+        with pytest.raises(ValueError, match="non-finite boundary value at row 2"):
+            BoundaryTrack(["R"], np.array([[1.0], [np.inf]]))
+
+    @pytest.mark.parametrize(
+        "name, text, row",
+        [
+            ("grid.csv", "0.25,0.5\nnan,0.5\n", 2),
+            ("fields.csv", "1.0,2.0\n3.0,inf\n", 2),
+            ("times.csv", "nan\n1.0\n", 1),
+            ("boundary.csv", "R\n1.5\nnan\n", 3),
+        ],
+    )
+    def test_load_names_file_and_row(self, tmp_path, name, text, row):
+        write_dataset(
+            tmp_path, [[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0], boundary="R\n1.5\n1.25\n"
+        )
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_snapshots(tmp_path)
+        assert str(exc.value) == f"{name}: non-finite entry at row {row}"
