@@ -39,6 +39,7 @@ from .gpr import (
     kernel_matrix,
     nlml,
     train,
+    train_many,
     weighted_sigma,
 )
 from .mls import MlsConfig, correct_field, mls_fit, mls_value, wendland_c2

@@ -4,9 +4,10 @@ Subcommands: ``gen`` (benchmark datasets), ``build`` (ROM construction),
 ``forecast``, ``horizon``, ``bench`` (result-table suites) and ``adaptive``
 (solver/ROM alternation on the Burgers closed form).  Flag values win over
 the optional JSON config file, which wins over defaults; the seed can also
-come from the MBROM_SEED environment variable.  Exit codes: 0 success,
-1 input or validation error, 2 forecast beyond the certified horizon
-without --force.
+come from the MBROM_SEED environment variable.  ``build`` records the seed in
+report.json, but GP training is deterministic and does not use it.  Exit
+codes: 0 success, 1 input or validation error, 2 forecast beyond the
+certified horizon without --force.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import benchmarks as bench_mod
 from . import pod as pod_mod
 from .data import FMT, load_snapshots, save_dataset
 from .galerkin import assemble_operators, integrate
-from .gpr import GprTolerances, train
+from .gpr import GprTolerances, train_many
 from .mls import MlsConfig
 from .pod import PodThresholds
 from .rom import (
@@ -209,8 +210,7 @@ def cmd_forecast(args) -> int:
                 f"truth dataset has no snapshot at t={fc.t_query:.6g}"
             )
         # a moving-boundary forecast is scored over its predicted fluid region
-        fluid = model.fluid_mask_at(fc.t_query)
-        sub = slice(None) if fluid is None else fluid
+        sub = slice(None) if fc.fluid_mask is None else fc.fluid_mask
         summary["relative_error"] = relative_error(
             fc.field[sub], truth_snaps.fields[idx][sub], _subgrid(model.grid, sub)
         )
@@ -251,7 +251,7 @@ def _burgers_pod(re: float, m: int = 20):
     return cfg, snaps, basis_full
 
 
-def _forecast_fixed_r(cfg, snaps, basis_full, r, t_query, seed):
+def _forecast_fixed_r(cfg, snaps, basis_full, r, t_query):
     from dataclasses import replace
 
     basis = replace(
@@ -263,23 +263,22 @@ def _forecast_fixed_r(cfg, snaps, basis_full, r, t_query, seed):
             np.sqrt(basis_full.eigenvalues[r:].sum() / basis_full.eigenvalues.sum())
         ),
     )
-    models = [train(snaps.times, basis.coeffs[:, k], seed=seed) for k in range(r)]
-    coeffs = np.array([mm.predict(t_query)[0][0] for mm in models])
+    posterior = [m.predict(t_query) for m in train_many(snaps.times, basis.coeffs)]
+    coeffs = np.array([mu[0] for mu, _ in posterior])
+    sigmas = np.array([sd[0] for _, sd in posterior])
     field = pod_mod.reconstruct(basis, snaps.mean, coeffs)
-    sigma = sum(
-        basis.eigenvalues[k] * models[k].predict(t_query)[1][0] for k in range(r)
-    ) / basis.eigenvalues.sum()
+    sigma = (basis.eigenvalues[:r] * sigmas).sum() / basis.eigenvalues.sum()
     return field, float(sigma)
 
 
-def _bench_burgers_sweep(out: Path, seed: int) -> None:
+def _bench_burgers_sweep(out: Path) -> None:
     rows = []
     for re in (1.0, 100.0, 300.0, 500.0):
         cfg, snaps, basis_full = _burgers_pod(re)
         x = snaps.grid.coords[:, 0]
         truth = bench_mod.burgers_exact(x, 0.6, cfg)
         for r in range(1, 9):
-            field, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6, seed)
+            field, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6)
             rows.append((re, r, relative_error(field, truth, snaps.grid)))
     with open(out / "burgers_sweep.csv", "w") as fh:
         fh.write("re,r,rel_error\n")
@@ -287,13 +286,13 @@ def _bench_burgers_sweep(out: Path, seed: int) -> None:
             fh.write(f"{re:g},{r},{FMT % err}\n")
 
 
-def _bench_error_growth(out: Path, seed: int) -> None:
+def _bench_error_growth(out: Path) -> None:
     cfg, snaps, basis_full = _burgers_pod(500.0)
     x = snaps.grid.coords[:, 0]
     rows = []
     for dt_star in np.linspace(0.03, 0.3, 10):
         tq = 0.5 + dt_star
-        field, sigma = _forecast_fixed_r(cfg, snaps, basis_full, 4, tq, seed)
+        field, sigma = _forecast_fixed_r(cfg, snaps, basis_full, 4, tq)
         truth = bench_mod.burgers_exact(x, tq, cfg)
         diff = truth - field
         eps = float(
@@ -306,7 +305,7 @@ def _bench_error_growth(out: Path, seed: int) -> None:
             fh.write(f"{FMT % dt_star},{FMT % eps},{FMT % sigma}\n")
 
 
-def _bench_galerkin_compare(out: Path, seed: int) -> None:
+def _bench_galerkin_compare(out: Path) -> None:
     rows = []
     for re in (1.0, 100.0, 300.0, 500.0):
         cfg, snaps, basis_full = _burgers_pod(re)
@@ -314,7 +313,7 @@ def _bench_galerkin_compare(out: Path, seed: int) -> None:
         r = basis.retained
         x = snaps.grid.coords[:, 0]
         truth = bench_mod.burgers_exact(x, 0.6, cfg)
-        field_gpr, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6, seed)
+        field_gpr, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6)
         ops = assemble_operators(basis, snaps.mean, snaps.grid, re)
         dt = (snaps.times[1] - snaps.times[0]) / 100.0
         _, traj = integrate(
@@ -335,10 +334,10 @@ def _bench_galerkin_compare(out: Path, seed: int) -> None:
             fh.write(f"{re:g},{r},{FMT % eg},{FMT % el}\n")
 
 
-def _bench_bubble(out: Path, seed: int) -> None:
+def _bench_bubble(out: Path) -> None:
     cfg = bench_mod.BubbleConfig()
     snaps, _ = bench_mod.bubble_snapshots(cfg, 51.0, 60.0, 10)
-    model = build(snaps, seed=seed)
+    model = build(snaps)
     t_query = 64.0
     fc = forecast(model, t_query, force=True)
     r = snaps.grid.coords[:, 0]
@@ -355,11 +354,10 @@ def _bench_bubble(out: Path, seed: int) -> None:
             )
     if fc.correction_report.rows:
         fc.correction_report.to_csv(out / "bubble_correction_report.csv")
-    fluid_now = model.fluid_mask_at(t_query)
     exp = fc.corrected_nodes
     err_b = float(np.abs(uncorrected - truth)[exp].max()) if exp.size else 0.0
     err_a = float(np.abs(fc.field - truth)[exp].max()) if exp.size else 0.0
-    sub = np.flatnonzero(fluid_now)
+    sub = np.flatnonzero(fc.fluid_mask)
     summary = {
         "t_query": t_query,
         "t_star": fc.t_star,
@@ -388,8 +386,6 @@ def _subgrid(grid, idx):
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args)
-    seed = _seed(args, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     suite = {
@@ -398,7 +394,7 @@ def cmd_bench(args) -> int:
         "galerkin-compare": _bench_galerkin_compare,
         "bubble": _bench_bubble,
     }[args.suite]
-    suite(out, seed)
+    suite(out)
     print(f"wrote {out}")
     return 0
 

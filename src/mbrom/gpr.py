@@ -1,10 +1,36 @@
 """Gaussian process regression of scalar time series.
 
 Squared-exponential kernel, exact Cholesky posterior, and marginal-likelihood
-training by L-BFGS-B over log-parameters.  Training standardizes inputs and
-outputs internally; predictions are returned in the original units.  The two
-horizon scans turn posterior uncertainty into a furthest defensible forecast
-time for the mode coefficients and for the boundary parameters.
+training.  Training standardizes inputs and outputs internally; predictions
+are returned in the original units.  The two horizon scans turn posterior
+uncertainty into a furthest defensible forecast time for the mode
+coefficients and for the boundary parameters; each model predicts a whole
+scan in one call.
+
+``train_many`` fits every output that shares the training times at once.
+For a length scale theta_l, let K_u = Q diag(e) Q^T be the unit-amplitude
+kernel on the standardized times.  C = theta_f^2 (K_u + JITTER0 I) +
+sigma^2 I then has eigenvalues c_i = theta_f^2 (e_i + JITTER0) + sigma^2 in
+the same basis, so with z = Q^T y the NLML is
+sum_i (z_i^2 / c_i + log c_i) / 2 + (M/2) log 2 pi, exact and O(M) for every
+output and every (theta_f, sigma) (Rasmussen & Williams, GPML 2006, 5.4).
+The search:
+
+1. One ``eigh`` per point of a log theta_l grid spanning ``LOG_BOUNDS[1]``
+   scores a (theta_f, sigma) grid for all outputs: sigma^2 / theta_f^2 on a
+   fine grid, theta_f at its closed-form optimum on each such ray (clipped
+   to the bounds).  Only the per-length-scale arrays are held at once.
+2. Each output is refined from the two lowest local minima of its
+   length-scale profile: a bounded scalar search in log theta_l, and at each
+   of its steps an L-BFGS-B over (log theta_f, log sigma) with the exact
+   eigenbasis gradient, started from the best point on the rays.
+3. Tie rule: where the fitted kernel's largest off-diagonal on the training
+   times is at most JITTER0, K = I there and only
+   theta_f^2 (1 + JITTER0) + sigma^2 is identified.  The ridge goes to the
+   noise: theta_f takes its lower bound and sigma^2 keeps the total, which
+   leaves the NLML unchanged and makes the posterior deviation small.
+
+There is no random start; the result depends only on the data.
 """
 
 from __future__ import annotations
@@ -16,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 __all__ = [
     "Kernel",
@@ -27,6 +53,7 @@ __all__ = [
     "kernel_matrix",
     "nlml",
     "train",
+    "train_many",
     "weighted_sigma",
     "gpr_horizon_modes",
     "gpr_horizon_boundary",
@@ -181,88 +208,163 @@ class GprModel:
         return mu * self.y_scale + self.y_mean, np.sqrt(var) * self.y_scale
 
 
-def _median_heuristic(ts: np.ndarray) -> float:
-    d = np.abs(ts[:, None] - ts[None, :])[np.triu_indices(ts.shape[0], 1)]
-    d = d[d > 0]
-    return float(np.median(d)) if d.size else 1.0
+_LOG2PI = float(np.log(2.0 * np.pi))
+_TL_STEP = 0.1  # log theta_l grid step
+_RATIO_STEP = 0.1  # log (sigma^2 / theta_f^2) grid step
+_BRENT_XTOL = 1e-5  # log theta_l tolerance of the refine
 
 
-def train(t: np.ndarray, y: np.ndarray, seed: int = 0, n_starts: int = 15) -> GprModel:
-    """Fit kernel scales and noise by minimizing the marginal likelihood.
+def _spectrum(
+    d2: np.ndarray, log_tl: float, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the unit-amplitude kernel exp(-theta_l^2 d^2 / 2) plus
+    JITTER0, and the squared coordinates of ``ys`` in its eigenbasis."""
+    e, Q = np.linalg.eigh(np.exp(-0.5 * np.exp(2.0 * log_tl) * d2))
+    return e + JITTER0, (Q.T @ ys) ** 2
 
-    Runs L-BFGS-B from a deterministic lattice of starting points (length
-    scales around the median pairwise distance crossed with three noise
-    levels); extra randomized starts are added only when ``n_starts``
-    exceeds the lattice size.  If every start fails, falls back to the
-    median-heuristic hyperparameters with a warning.
+
+def _ray_scores(s: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """NLML on the noise-ratio grid with theta_f profiled out.
+
+    ``s`` holds the kernel eigenvalues plus JITTER0 and ``z2`` the squared
+    eigenbasis coordinates of the standardized outputs (one column each).
+    Along a ray sigma^2 = r theta_f^2 the NLML is unimodal in theta_f^2
+    with minimum q(r)/M, q(r) = sum z2 / (s + r); clipping that into the
+    ray's part of ``LOG_BOUNDS`` gives the exact constrained minimum on the
+    ray.  Returns the values and (log theta_f, log sigma), each (ratios, P).
+    """
+    (a_lo, a_hi), _, (b_lo, b_hi) = LOG_BOUNDS
+    log_r = np.arange(2 * (b_lo - a_hi), 2 * (b_hi - a_lo) + 1e-9, _RATIO_STEP)
+    M = s.shape[0]
+    inv = 1.0 / (s[None, :] + np.exp(log_r)[:, None])
+    q = inv @ z2
+    lo = np.maximum(2 * a_lo, 2 * b_lo - log_r)[:, None]
+    hi = np.minimum(2 * a_hi, 2 * b_hi - log_r)[:, None]
+    tf2 = np.clip(q / M, np.exp(lo), np.exp(hi))
+    log_tf2 = np.log(tf2)
+    logdet = -np.log(inv).sum(axis=1)[:, None]
+    val = 0.5 * (q / tf2 + M * log_tf2 + logdet + M * _LOG2PI)
+    return val, 0.5 * log_tf2, 0.5 * (log_tf2 + log_r[:, None])
+
+
+def _eig_nlml(p: np.ndarray, s: np.ndarray, z2: np.ndarray) -> tuple[float, np.ndarray]:
+    """NLML of one output and its gradient in (log theta_f, log sigma).
+
+    In the kernel's eigenbasis C has eigenvalues c = theta_f^2 s + sigma^2,
+    so value and gradient are sums over M terms with no solve.
+    """
+    u, v = np.exp(2.0 * p)
+    c = u * s + v
+    w = 1.0 / c - z2 / (c * c)
+    value = 0.5 * float(np.sum(z2 / c + np.log(c)) + s.shape[0] * _LOG2PI)
+    return value, np.array([u * float(w @ s), v * float(w.sum())])
+
+
+def _fit_at(
+    d2: np.ndarray, ys: np.ndarray, log_tl: float
+) -> tuple[float, float, float]:
+    """Best (NLML, log theta_f, log sigma) of one output at one length scale:
+    the best point of the noise-ratio rays, polished by L-BFGS-B."""
+    s, z2 = _spectrum(d2, log_tl, ys)
+    val, la, lb = _ray_scores(s, z2[:, None])
+    j = int(np.argmin(val[:, 0]))
+    res = minimize(
+        _eig_nlml,
+        np.array([la[j, 0], lb[j, 0]]),
+        args=(s, z2),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=(LOG_BOUNDS[0], LOG_BOUNDS[2]),
+        options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10},
+    )
+    return float(res.fun), float(res.x[0]), float(res.x[1])
+
+
+def _local_minima(profile: np.ndarray, count: int) -> list[int]:
+    """Indices of the ``count`` lowest local minima of a 1-D profile whose
+    one-step brackets do not overlap; ties go to the lower index."""
+    left = np.r_[True, profile[1:] < profile[:-1]]
+    right = np.r_[profile[:-1] <= profile[1:], True]
+    picked: list[int] = []
+    for k in np.argsort(profile, kind="stable"):
+        if left[k] and right[k] and all(abs(int(k) - j) >= 2 for j in picked):
+            picked.append(int(k))
+            if len(picked) == count:
+                break
+    return picked
+
+
+def train_many(t: np.ndarray, Y: np.ndarray) -> list[GprModel]:
+    """Fit one GP per column of ``Y`` (times x outputs) by maximizing the
+    marginal likelihood; the search and its tie rule are described in the
+    module docstring.  Of the points each output's search evaluates, the
+    one with the lowest NLML wins.
     """
     t = np.asarray(t, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != t.shape[0]:
+        raise ValueError(
+            f"outputs must be a (times, outputs) array with {t.shape[0]} rows"
+        )
     if t.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(Y))):
         raise ValueError("training data must be finite")
 
     t_mean, t_scale = float(t.mean()), float(t.std())
     t_scale = t_scale if t_scale > 0 else 1.0
-    y_mean = float(y.mean())
-    y_scale = float((y - y_mean).std())
-    y_scale = y_scale if y_scale > 0 else 1.0
     ts = (t - t_mean) / t_scale
-    ys = (y - y_mean) / y_scale
+    if Y.shape[1] == 0:
+        return []
+    cols = [np.ascontiguousarray(y) for y in Y.T]
+    y_scales = [float((y - float(y.mean())).std()) or 1.0 for y in cols]
+    ys_cols = [(y - float(y.mean())) / sc for y, sc in zip(cols, y_scales)]
+    Ys = np.column_stack(ys_cols)
 
-    ltl0 = np.log(1.0 / _median_heuristic(ts))
-    lo = np.array([b[0] for b in LOG_BOUNDS])
-    hi = np.array([b[1] for b in LOG_BOUNDS])
-    starts = [
-        np.clip(np.array([0.0, ltl0 + dl, lsig]), lo, hi)
-        for dl in (np.log(0.25), np.log(0.5), 0.0, np.log(2.0), np.log(4.0))
-        for lsig in (np.log(1e-6), np.log(1e-4), np.log(1e-2))
-    ]
-    if n_starts > len(starts):
-        rng = np.random.default_rng(seed)
-        for _ in range(n_starts - len(starts)):
-            starts.append(np.clip(
-                np.array([0.0, ltl0, np.log(1e-4)]) + rng.uniform(-2, 2, 3), lo, hi
-            ))
+    d2 = (ts[:, None] - ts[None, :]) ** 2
+    d2_min = float(np.min(d2 + np.diag(np.full(ts.shape[0], np.inf))))
+    grid = np.arange(LOG_BOUNDS[1][0], LOG_BOUNDS[1][1] + 1e-9, _TL_STEP)
+    profile = np.empty((grid.shape[0], Ys.shape[1]))
+    for i, log_tl in enumerate(grid):
+        profile[i] = _ray_scores(*_spectrum(d2, log_tl, Ys))[0].min(axis=0)
 
-    def objective(p):
-        tf, tl, sig = np.exp(p)
-        try:
-            return nlml(Kernel(tf, tl), sig**2, ts, ys)
-        except np.linalg.LinAlgError:
-            return 1e25, np.zeros(3)
+    models = []
+    for p, (y, y_scale, ys) in enumerate(zip(cols, y_scales, ys_cols)):
+        best = (np.inf, 0.0, 0.0, 0.0)
 
-    best = None
-    for p0 in starts[:max(n_starts, 1)]:
-        res = minimize(
-            objective,
-            p0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=LOG_BOUNDS,
-            options={"maxiter": 200},
-        )
-        if np.isfinite(res.fun) and res.fun < 1e24 and (best is None or res.fun < best.fun):
-            best = res
+        def objective(log_tl):
+            nonlocal best
+            val, la, lb = _fit_at(d2, ys, log_tl)
+            if val < best[0]:
+                best = (val, float(log_tl), la, lb)
+            return val
 
-    if best is None:
-        warnings.warn(
-            "all L-BFGS restarts diverged; using median-heuristic hyperparameters",
-            stacklevel=2,
-        )
-        kernel = Kernel(1.0, float(np.exp(ltl0)))
-        return GprModel(
-            kernel, 1e-4, t, y,
-            t_mean=t_mean, t_scale=t_scale, y_scale=y_scale, used_fallback=True,
-        )
+        for k in _local_minima(profile[:, p], 2):
+            objective(grid[k])  # the bounded search never samples its centre
+            minimize_scalar(
+                objective,
+                bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+                method="bounded",
+                options={"xatol": _BRENT_XTOL},
+            )
+        _, log_tl, log_tf, log_sig = best
+        if np.exp(-0.5 * np.exp(2.0 * log_tl) * d2_min) <= JITTER0:  # tie rule
+            total = np.exp(2.0 * log_tf) * (1.0 + JITTER0) + np.exp(2.0 * log_sig)
+            log_tf = LOG_BOUNDS[0][0]
+            rest = total - np.exp(2.0 * log_tf) * (1.0 + JITTER0)
+            log_sig = float(np.clip(0.5 * np.log(rest), *LOG_BOUNDS[2]))
+        models.append(GprModel(
+            Kernel(float(np.exp(log_tf)), float(np.exp(log_tl))),
+            float(np.exp(2.0 * log_sig)), t, y,
+            t_mean=t_mean, t_scale=t_scale, y_scale=y_scale,
+        ))
+    return models
 
-    ltf, ltl, lsig = best.x
-    kernel = Kernel(float(np.exp(ltf)), float(np.exp(ltl)))
-    return GprModel(
-        kernel, float(np.exp(2 * lsig)), t, y,
-        t_mean=t_mean, t_scale=t_scale, y_scale=y_scale,
-    )
+
+def train(t: np.ndarray, y: np.ndarray) -> GprModel:
+    """Fit one GP to the series ``y`` (the one-column case of ``train_many``)."""
+    y = np.asarray(y, dtype=float).ravel()
+    return train_many(t, y[:, None])[0]
 
 
 def weighted_sigma(models: list[GprModel], lambdas: np.ndarray, t_query: float) -> float:
@@ -283,6 +385,27 @@ class GprHorizon:
     capped: bool = False
 
 
+def _scan(
+    models, tM: float, scan_step: float, max_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan times tM + n scan_step (n = 0..max_steps) and every model's
+    posterior mean and deviation there, one column per model; each model
+    predicts the whole scan in one kernel block and one triangular solve."""
+    if scan_step <= 0:
+        raise ValueError("scan_step must be positive")
+    times = tM + np.arange(max_steps + 1) * scan_step
+    preds = [m.predict(times) for m in models]
+    mu = np.column_stack([p[0] for p in preds])
+    sd = np.column_stack([p[1] for p in preds])
+    return times, mu, sd
+
+
+def _last_ok(bad: np.ndarray) -> int:
+    """Last scan step before the first violating one (0 is the data end)."""
+    hits = np.flatnonzero(bad[1:])
+    return int(hits[0]) if hits.size else bad.shape[0] - 1
+
+
 def gpr_horizon_modes(
     models: list[GprModel],
     lambdas: np.ndarray,
@@ -297,31 +420,26 @@ def gpr_horizon_modes(
     eigenvalue; the scan stops at the first violating step.  A sign change
     driving the denominator to zero counts as a violation.
     """
-    if scan_step <= 0:
-        raise ValueError("scan_step must be positive")
+    times, mu, sd = _scan(models, tM, scan_step, max_steps)
     lam = np.asarray(lambdas, dtype=float).ravel()
-    R = len(models)
-    t_star = tM
-    for n in range(1, max_steps + 1):
-        tq = tM + n * scan_step
-        mus = np.empty(R)
-        sigs = np.empty(R)
-        for k, m in enumerate(models):
-            mu, sg = m.predict(tq)
-            mus[k], sigs[k] = mu[0], sg[0]
-        den = float((lam[:R] * np.abs(mus)).sum())
-        num = float((lam[:R] * sigs).sum())
-        if den <= 0.0 or num / den > beta:
-            if n == 1:
-                warnings.warn(
-                    "GPR mode criterion violated at the first scan step; "
-                    "no extrapolation permitted",
-                    stacklevel=2,
-                )
-                return GprHorizon(tM, weighted_sigma(models, lam, tM), at_data_end=True)
-            return GprHorizon(t_star, weighted_sigma(models, lam, t_star))
-        t_star = tq
-    return GprHorizon(t_star, weighted_sigma(models, lam, t_star), capped=True)
+    w = lam[: len(models)]
+    den = (w * np.abs(mu)).sum(axis=1)
+    num = (w * sd).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        last = _last_ok((den <= 0.0) | (num / den > beta))
+    if last == 0:
+        warnings.warn(
+            "GPR mode criterion violated at the first scan step; "
+            "no extrapolation permitted",
+            stacklevel=2,
+        )
+    t_star = float(times[last])
+    return GprHorizon(
+        t_star,
+        weighted_sigma(models, lam, t_star),
+        at_data_end=last == 0,
+        capped=last == max_steps,
+    )
 
 
 @dataclass(frozen=True)
@@ -342,25 +460,13 @@ def gpr_horizon_boundary(
     max_steps: int = 1000,
 ) -> BoundaryHorizon:
     """Per-parameter sigma/|mu| horizon; the overall bound is the minimum."""
-    if scan_step <= 0:
-        raise ValueError("scan_step must be positive")
-    stars = []
-    any_end = False
-    any_cap = False
-    for m in track_models:
-        t_star = tM
-        capped = True
-        for n in range(1, max_steps + 1):
-            tq = tM + n * scan_step
-            mu, sg = m.predict(tq)
-            if abs(mu[0]) < 1e-12 or sg[0] / abs(mu[0]) > beta:
-                capped = False
-                if n == 1:
-                    any_end = True
-                break
-            t_star = tq
-        any_cap |= capped
-        stars.append(t_star)
+    times, mu, sd = _scan(track_models, tM, scan_step, max_steps)
+    amu = np.abs(mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (amu < 1e-12) | (sd / amu > beta)
+    lasts = [_last_ok(bad[:, j]) for j in range(bad.shape[1])]
+    stars = [float(times[k]) for k in lasts]
+    any_end = 0 in lasts
     if any_end:
         warnings.warn(
             "a boundary-parameter criterion is violated at the first scan "
@@ -371,7 +477,7 @@ def gpr_horizon_boundary(
         t_star=float(min(stars)),
         per_param=tuple(stars),
         at_data_end=any_end,
-        capped=any_cap,
+        capped=max_steps in lasts,
     )
 
 

@@ -35,8 +35,8 @@ from .gpr import (
     gpr_horizon_modes,
     load_gpr_model,
     save_gpr_model,
-    train,
-    weighted_sigma,
+    train,  # noqa: F401  perfbench/spans.py wraps mbrom.rom.train by name
+    train_many,
 )
 from .mls import CorrectionReport, MlsConfig, correct_field
 from .pod import PodBasis, PodHorizon, PodThresholds
@@ -114,7 +114,9 @@ class RomModel:
 
     def fluid_mask_at(self, t_query: float) -> np.ndarray | None:
         """Predicted fluid mask at the query time, from the boundary GPs."""
-        gamma = self.predict_boundary(t_query)
+        return self._fluid_mask(self.predict_boundary(t_query))
+
+    def _fluid_mask(self, gamma: np.ndarray | None) -> np.ndarray | None:
         if gamma is None or self.boundary_geometry is None:
             return None
         if callable(self.boundary_geometry):
@@ -139,6 +141,7 @@ class RomForecast:
     boundary_values: dict[str, float] | None = None
     forced: bool = False
     correction_report: CorrectionReport | None = None
+    fluid_mask: np.ndarray | None = None
 
 
 def build(
@@ -156,7 +159,7 @@ def build(
     Moving-boundary datasets must carry a boundary track; its parameters are
     modeled first and bound the forecast through their own horizon.  The
     occluded fill then completes the snapshot data so POD runs over the
-    whole grid.
+    whole grid.  ``seed`` is accepted and ignored: training is deterministic.
     """
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
@@ -168,10 +171,7 @@ def build(
     if moving:
         if s.boundary is None:
             raise ValueError("moving-boundary snapshots need a boundary track")
-        boundary_models = [
-            train(s.times, s.boundary.values[:, j], seed=seed)
-            for j in range(s.boundary.n_params)
-        ]
+        boundary_models = train_many(s.times, s.boundary.values)
         horizon_gamma = gpr_horizon_boundary(
             boundary_models, tM, tolerances.beta_gpr_gamma, scan_step
         )
@@ -194,10 +194,7 @@ def build(
     A = _pod.correlation_matrix(filled)
     basis = _pod.truncate(_pod.decompose(A, filled), thresholds.alpha_pod)
     horizon_pod = _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)
-    mode_models = [
-        train(filled.times, basis.coeffs[:, k], seed=seed)
-        for k in range(basis.retained)
-    ]
+    mode_models = train_many(filled.times, basis.coeffs[:, :basis.retained])
     horizon_a = gpr_horizon_modes(
         mode_models, basis.eigenvalues, tM, tolerances.beta_gpr_a, scan_step
     )
@@ -240,19 +237,23 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
             )
         forced = True
 
-    coeffs = np.array([mm.predict(t_query)[0][0] for mm in m.mode_models])
+    posterior = [mm.predict(t_query) for mm in m.mode_models]
+    coeffs = np.array([mu[0] for mu, _ in posterior])
+    sigmas = np.array([sd[0] for _, sd in posterior])
     field_values = _pod.reconstruct(m.basis, m.mean, coeffs)
-    sigma_w = weighted_sigma(m.mode_models, m.basis.eigenvalues, t_query)
+    lam = m.basis.eigenvalues
+    sigma_w = float((lam[: len(sigmas)] * sigmas).sum() / lam.sum())
     eps_pod = float(np.sqrt(m.basis.tail_energy()))
 
     corrected_nodes = None
     boundary_values = None
     report = None
+    fluid_now = None
     eps_mls = 0.0
     if m.boundary_models is not None:
         gamma = m.predict_boundary(t_query)
         boundary_values = dict(zip(m.boundary.names, map(float, gamma)))
-        fluid_now = m.fluid_mask_at(t_query)
+        fluid_now = m._fluid_mask(gamma)
         if fluid_now is not None:
             exposed = fluid_now & ~m.window_all_fluid
             history = fluid_now & m.window_all_fluid
@@ -286,6 +287,7 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
         boundary_values=boundary_values,
         forced=forced,
         correction_report=report,
+        fluid_mask=fluid_now,
     )
 
 
@@ -327,7 +329,8 @@ def adaptive_loop(
     whichever is earlier); the forecast becomes the next round's initial
     state.  A round whose horizon offers no extrapolation falls back to
     plain solver continuation from its last snapshot; two such rounds in a
-    row abort the loop.
+    row abort the loop.  ``seed`` is passed on to ``build``, which ignores
+    it.
     """
     forecasts: list[RomForecast] = []
     log: list[HandoffRecord] = []

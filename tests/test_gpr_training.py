@@ -1,0 +1,217 @@
+"""Batched eigenbasis GP training and the block horizon scans against their
+reference definitions (``gpr_oracles``): the multi-start L-BFGS-B fit and
+the one-time-per-call scans."""
+
+import importlib.util
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gpr_oracles as oracle
+from mbrom.benchmarks import (
+    BubbleConfig,
+    BurgersConfig,
+    bubble_snapshots,
+    burgers_snapshots,
+)
+from mbrom.gpr import (
+    JITTER0,
+    LOG_BOUNDS,
+    Kernel,
+    gpr_horizon_boundary,
+    gpr_horizon_modes,
+    kernel_matrix,
+    nlml,
+    train,
+    train_many,
+)
+from mbrom.rom import build
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+GATE = 1e-6
+
+
+def fitted_nlml(m):
+    """NLML of a fitted model at its own hyperparameters (standardized units)."""
+    return nlml(m.kernel, m.noise_var, m._ts, m._ys)[0]
+
+
+def _disk_snapshots():
+    """The benchmark's 2D pulsating-disk fixture (N=10^4, M=10)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "disk2d.py"
+    spec = importlib.util.spec_from_file_location("perfbench_disk2d", path)
+    disk2d = sys.modules.setdefault(
+        spec.name, importlib.util.module_from_spec(spec)
+    )
+    spec.loader.exec_module(disk2d)
+    return disk2d.disk_snapshots(disk2d.DiskConfig(), 51.0, 60.0, 10)
+
+
+FIXTURES = {
+    **{
+        f"burgers-re{re:g}": lambda re=re: burgers_snapshots(
+            BurgersConfig(reynolds=re), 0.3, 0.5, 20
+        )
+        for re in (1.0, 100.0, 300.0, 500.0)
+    },
+    **{
+        f"cavity-nr{nr}": lambda nr=nr: bubble_snapshots(
+            BubbleConfig(nr=nr), 51.0, 60.0, 10
+        )[0]
+        for nr in (270, 120)
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                snaps = _disk_snapshots() if name == "disk" else FIXTURES[name]()
+                cache[name] = build(snaps)
+        return cache[name]
+
+    return get
+
+
+class TestLikelihoodGate:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_gps_no_worse_than_multistart(self, models, name):
+        m = models(name)
+        gps = m.mode_models + (m.boundary_models or [])
+        for k, gp in enumerate(gps):
+            ref = oracle.train(gp.train_t, gp.train_y)
+            assert fitted_nlml(gp) <= fitted_nlml(ref) + GATE, (name, k)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 25),
+           kind=st.sampled_from(["draw", "sine"]))
+    def test_random_series_no_worse_than_multistart(self, seed, m, kind):
+        # observation noise of 1e-2..0.3 of the signal keeps the NLML
+        # evaluation accurate far below the gate (see test_noise_floor)
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, rng.uniform(0.5, 10.0), m))
+        rel = 10 ** rng.uniform(-2.0, -0.5)
+        if kind == "draw":
+            k = Kernel(np.exp(rng.uniform(-1, 1)), np.exp(rng.uniform(-1, 2)))
+            K = kernel_matrix(k, t, t) + 1e-10 * np.eye(m)
+            y = np.linalg.cholesky(K) @ rng.standard_normal(m)
+            y += rel * k.theta_f * rng.standard_normal(m)
+        else:
+            y = np.sin(rng.uniform(0.2, 5.0) * t + rng.uniform(0, 6))
+            y += rel * rng.standard_normal(m)
+        assert fitted_nlml(train(t, y)) <= fitted_nlml(oracle.train(t, y)) + GATE
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(8, 25))
+    def test_noise_floor(self, seed, m):
+        # Near-noiseless series fit with sigma near its lower bound, where C
+        # has condition ~1e11 and the Cholesky and eigenbasis values of the
+        # same NLML differ by up to ~1e-5 (8e-6 was the worst of 200 such
+        # series); the two searches agree to that rounding level.
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, rng.uniform(0.5, 10.0), m)
+        y = np.sin(rng.uniform(0.2, 5.0) * t) + 1e-5 * rng.standard_normal(m)
+        assert fitted_nlml(train(t, y)) <= fitted_nlml(oracle.train(t, y)) + 1e-4
+
+
+class TestSearch:
+    def test_train_is_the_one_column_case(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 2.0, 14)
+        Y = np.column_stack([np.sin(3 * t), np.cos(t) + 0.1 * rng.standard_normal(14)])
+        for gp, y in zip(train_many(t, Y), Y.T):
+            one = train(t, y)
+            assert gp.kernel == one.kernel and gp.noise_var == one.noise_var
+            np.testing.assert_array_equal(gp.train_y, y)
+
+    def test_rejects_mismatched_outputs(self):
+        with pytest.raises(ValueError, match="rows"):
+            train_many(np.linspace(0, 1, 5), np.zeros((4, 2)))
+
+    def test_hyperparameters_within_bounds(self, models):
+        for gp in models("burgers-re500").mode_models:
+            log_p = np.log([gp.kernel.theta_f, gp.kernel.theta_l])
+            assert LOG_BOUNDS[0][0] <= log_p[0] <= LOG_BOUNDS[0][1]
+            assert LOG_BOUNDS[1][0] <= log_p[1] <= LOG_BOUNDS[1][1]
+            assert LOG_BOUNDS[2][0] <= 0.5 * np.log(gp.noise_var) <= LOG_BOUNDS[2][1]
+
+    def test_burgers_re500_horizon_unchanged(self, models):
+        m = models("burgers-re500")
+        assert m.t_star == pytest.approx(0.6646895070617836, abs=1e-12)
+        assert m.binding_component() == "pod"
+
+
+class TestRidge:
+    """White noise to the GP: K = I on the training times."""
+
+    t = np.linspace(0.0, 1.0, 12)
+    y = np.random.default_rng(1).standard_normal(12)
+
+    def test_noise_takes_the_ridge(self):
+        m = train(self.t, self.y)
+        d = np.diff(m._ts).min()
+        assert np.exp(-0.5 * (m.kernel.theta_l * d) ** 2) <= JITTER0
+        assert m.kernel.theta_f == np.exp(LOG_BOUNDS[0][0])
+        assert fitted_nlml(m) <= fitted_nlml(oracle.train(self.t, self.y)) + GATE
+
+    def test_split_leaves_likelihood_unchanged(self):
+        m = train(self.t, self.y)
+        total = m.kernel.theta_f**2 * (1 + JITTER0) + m.noise_var
+        signal = Kernel(1.0, m.kernel.theta_l)
+        other = nlml(signal, total - (1 + JITTER0), m._ts, m._ys)[0]
+        assert other == pytest.approx(fitted_nlml(m), abs=1e-9)
+
+    def test_deterministic(self):
+        a, b = train(self.t, self.y), train(self.t, self.y)
+        assert a.kernel == b.kernel and a.noise_var == b.noise_var
+
+    def test_correlated_series_keeps_its_signal(self):
+        m = train(self.t, np.sin(4 * self.t) + 0.05 * self.y)
+        assert m.kernel.theta_f > 0.5
+
+
+class TestHorizonScanOracle:
+    @pytest.mark.parametrize(
+        "name", ["burgers-re500", "cavity-nr270", "cavity-nr120", "disk"]
+    )
+    @pytest.mark.parametrize("beta", [0.003, 0.03, 0.1, 0.3, 1.0])
+    def test_block_scan_equals_scalar_scan(self, models, name, beta):
+        m = models(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = gpr_horizon_modes(
+                m.mode_models, m.basis.eigenvalues, m.tM, beta, m.scan_step
+            )
+            want = oracle.gpr_horizon_modes(
+                m.mode_models, m.basis.eigenvalues, m.tM, beta, m.scan_step
+            )
+            assert got == want
+            if m.boundary_models:
+                got = gpr_horizon_boundary(m.boundary_models, m.tM, beta, m.scan_step)
+                want = oracle.gpr_horizon_boundary(
+                    m.boundary_models, m.tM, beta, m.scan_step
+                )
+                assert got == want
+
+    def test_built_horizons_equal_scalar_scans(self, models):
+        for name in ("burgers-re500", "cavity-nr270", "disk"):
+            m = models(name)
+            assert m.horizon_gpr_a == oracle.gpr_horizon_modes(
+                m.mode_models, m.basis.eigenvalues, m.tM,
+                m.tolerances.beta_gpr_a, m.scan_step,
+            )
+            if m.boundary_models:
+                assert m.horizon_gpr_gamma == oracle.gpr_horizon_boundary(
+                    m.boundary_models, m.tM, m.tolerances.beta_gpr_gamma,
+                    m.scan_step,
+                )

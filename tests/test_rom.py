@@ -12,7 +12,7 @@ from mbrom.benchmarks import (
     burgers_snapshots,
 )
 from mbrom.data import SpatialGrid
-from mbrom.gpr import GprTolerances
+from mbrom.gpr import GprModel, GprTolerances
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
     HorizonExceededError,
@@ -109,6 +109,7 @@ class TestForecastFixedDomain:
         manual = reconstruct(m.basis, m.mean, mus)
         np.testing.assert_array_equal(fc.field, manual)
         assert fc.corrected_nodes is None
+        assert fc.fluid_mask is None
 
     def test_horizon_is_component_minimum(self, burgers_model):
         _, _, m = burgers_model
@@ -174,6 +175,25 @@ class TestForecastMovingBoundary:
         _, _, m = bubble_model
         fc = forecast(m, 61.0, force=61.0 > m.t_star)
         assert set(fc.boundary_values) == {"R"}
+
+    def test_fluid_mask_is_the_predicted_mask(self, bubble_model):
+        _, _, m = bubble_model
+        fc = forecast(m, 64.0, force=True)
+        np.testing.assert_array_equal(fc.fluid_mask, m.fluid_mask_at(64.0))
+
+    def test_each_gp_predicted_once(self, bubble_model, monkeypatch):
+        _, _, m = bubble_model
+        seen = []
+        predict = GprModel.predict
+
+        def counted(self, t_query):
+            seen.append(id(self))
+            return predict(self, t_query)
+
+        monkeypatch.setattr(GprModel, "predict", counted)
+        forecast(m, 64.0, force=True)
+        gps = m.mode_models + m.boundary_models
+        assert sorted(seen) == sorted(map(id, gps))
 
 
 class TestRelativeError:
