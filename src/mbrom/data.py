@@ -284,6 +284,33 @@ def _nearest(
     return idx[:, :k], d2[:, :k]
 
 
+def _cholesky_moments(
+    mm: np.ndarray, terms: list[tuple[int, ...]], min_norm: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Cholesky factors of a (T, n, n) stack of moment matrices, and which
+    fits are weak: smallest pivot at most 1e-6 of the largest, or not
+    positive definite.  Unless ``min_norm`` (the caller handles weak fits),
+    a weak fit raises ValueError naming the direction the worst-conditioned
+    fit cannot resolve.  The factors are None when some fit is not positive
+    definite.
+    """
+    try:
+        L = np.linalg.cholesky(mm)
+        d = np.diagonal(L, axis1=1, axis2=2)
+        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+    except np.linalg.LinAlgError:  # some fit is not positive definite
+        L, weak = None, np.ones(mm.shape[0], dtype=bool)
+    if weak.any() and not min_norm:
+        evals, evecs = np.linalg.eigh(mm)
+        t = np.argmin(evals[:, 0] / evals[:, -1])
+        worst = np.argmax(np.abs(evecs[t, :, 0]))
+        raise ValueError(
+            f"rank-deficient moment matrix: neighbors do not resolve the "
+            f"{_term_name(terms[worst])} direction"
+        )
+    return L, weak
+
+
 def _local_fit(
     offsets: np.ndarray,
     values: np.ndarray,
@@ -313,20 +340,7 @@ def _local_fit(
         Pw = P * weights[a : a + step, :, None]
         mm[a : a + step] = np.matmul(Pw.transpose(0, 2, 1), P)
         rhs[a : a + step] = np.einsum("tkn,tk->tn", Pw, values[a : a + step])
-    try:
-        L = np.linalg.cholesky(mm)
-        d = np.diagonal(L, axis1=1, axis2=2)
-        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
-    except np.linalg.LinAlgError:  # some fit is not positive definite
-        L, weak = None, np.ones(T, dtype=bool)
-    if weak.any() and not min_norm:
-        evals, evecs = np.linalg.eigh(mm)
-        t = np.argmin(evals[:, 0] / evals[:, -1])
-        worst = np.argmax(np.abs(evecs[t, :, 0]))
-        raise ValueError(
-            f"rank-deficient moment matrix: neighbors do not resolve the "
-            f"{_term_name(terms[worst])} direction"
-        )
+    L, weak = _cholesky_moments(mm, terms, min_norm)
     coef = np.empty((T, n))
     if not weak.all():
         y = np.linalg.solve(L[~weak], rhs[~weak, :, None])

@@ -4,19 +4,51 @@ A locally weighted polynomial is fitted over trusted neighbor nodes and
 evaluated at a target node.  The basis is centered at the target and scaled
 by the support radius, so the moment matrix stays well conditioned and the
 fitted value is simply the first coefficient.
+
+The correction uses the fit in its shape-function form.  The value at node
+j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
+stencil (the trusted nodes strictly inside its radius h_j) and
+a_j = W P M^-1 e_0 are its shape functions.  S_j, h_j and a_j depend on the
+grid, the configuration and the trusted set, not on the field or the query
+time.  A ``StencilCache`` keeps them for one trusted set
+(``fluid_now & window_all_fluid`` in a forecast) and fits each node the
+first time it is exposed; a different trusted set replaces the contents.
+Each RomModel owns one cache, which is not saved with the model, so a
+process that loads a model for a single forecast (``mbrom forecast``) always
+starts cold.  Cold and warm caches give the same bits: every sum over a
+stencil runs over that stencil alone.
+
+The Lebesgue constant Lambda_j = sum |a_j| bounds how much the fit can
+amplify errors in the trusted values.  It is reported per corrected node
+(``CorrectionReport.lebesgue``, the ``lebesgue`` column of
+``correction_report.csv``), and a correction with any Lambda_j above
+``LEBESGUE_WARN`` = 1e3 warns once.  The shape-function form and the direct
+coefficient fit agree to rounding, within 1e-12 Lambda_j max|f| at each
+node.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import FMT, SpatialGrid, _balls, _local_fit, _nearest, _poly_terms
+from .data import (
+    FMT,
+    SpatialGrid,
+    _balls,
+    _cholesky_moments,
+    _local_fit,
+    _nearest,
+    _poly_matrix,
+    _poly_terms,
+)
 
 __all__ = [
     "MlsConfig",
@@ -25,13 +57,24 @@ __all__ = [
     "mls_fit",
     "mls_value",
     "correct_field",
+    "StencilCache",
+    "LEBESGUE_WARN",
+    "WEIGHTS",
 ]
+
+# A corrected node whose shape functions sum to more than this in absolute
+# value can amplify field errors a thousandfold; correct_field warns.
+LEBESGUE_WARN = 1e3
 
 
 def wendland_c2(q: np.ndarray) -> np.ndarray:
     """Compactly supported C2 weight (1-q)^4 (4q+1) on [0, 1)."""
     q = np.asarray(q, dtype=float)
     return np.where(q < 1.0, (1.0 - q) ** 4 * (4.0 * q + 1.0), 0.0)
+
+
+# weights a saved model may name
+WEIGHTS = {"wendland_c2": wendland_c2}
 
 
 @dataclass(frozen=True)
@@ -121,10 +164,15 @@ def mls_value(
 
 @dataclass
 class CorrectionReport:
-    """Per-node record of what the correction step did."""
+    """Per-node record of what the correction step did.
+
+    ``rows`` are (node, h, before, after); ``lebesgue`` holds each corrected
+    node's Lebesgue constant sum |a_j|, in the order of ``rows``.
+    """
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
     uncorrected: list[int] = field(default_factory=list)
+    lebesgue: list[float] = field(default_factory=list)
 
     def corrected_nodes(self) -> np.ndarray:
         return np.array([r[0] for r in self.rows], dtype=int)
@@ -132,9 +180,139 @@ class CorrectionReport:
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["node", "h", "before", "after"])
-            for node, h, before, after in self.rows:
-                writer.writerow([node, FMT % h, FMT % before, FMT % after])
+            writer.writerow(["node", "h", "before", "after", "lebesgue"])
+            for (node, h, before, after), lam in zip_longest(
+                self.rows, self.lebesgue, fillvalue=float("nan")
+            ):
+                writer.writerow([node, FMT % h, FMT % before, FMT % after, FMT % lam])
+
+
+def _shape_functions(
+    offsets: np.ndarray, weights: np.ndarray, counts: np.ndarray, order: int
+) -> np.ndarray:
+    """MLS shape functions of a batch of stencils stored end to end.
+
+    Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
+    relative to its target, divided by its radius) and of ``weights``.
+    Returns one a_k per row such that sum_k a_k f_k over a stencil is the
+    fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
+    monomials up to ``order`` and M = P^T W P.  M is factored by Cholesky
+    under the pivot test of ``_local_fit``, and a fit that does not resolve
+    every term raises ValueError.  Every sum runs over one stencil's
+    rows alone, so a node's shape functions are the same bits whichever batch
+    it is fitted in.
+    """
+    dim = offsets.shape[1]
+    terms = _poly_terms(dim, order)
+    terms2 = _poly_terms(dim, 2 * order)
+    # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
+    index = {e: k for k, e in enumerate(terms2)}
+    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
+    T = counts.size
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    e0 = np.zeros((T, len(terms), 1))
+    e0[:, 0] = 1.0
+    shape = np.empty(starts[-1])
+    step = max(1, 4096 // int(counts.max()))  # ~4096 design-matrix rows at a time
+    for a in range(0, T, step):
+        b = min(a + step, T)
+        rows = slice(starts[a], starts[b])
+        Q = _poly_matrix(offsets[rows], terms2)
+        moments = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])
+        L, _ = _cholesky_moments(moments[:, pair], terms)
+        coef = np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, e0[a:b]))
+        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
+        coef = np.repeat(coef[:, :, 0], counts[a:b], axis=0)
+        shape[rows] = weights[rows] * np.sum(P * coef, axis=1)
+    return shape
+
+
+class StencilCache:
+    """MLS stencils over one trusted-node set, fitted node by node on first use.
+
+    For each node a correction has asked about, the cache holds its support
+    radius h (inf: no rung of the ladder holds enough trusted nodes), its
+    stencil (the trusted nodes strictly inside h, nearest first, distance
+    ties to the lower index), the stencil's shape functions and their
+    Lebesgue constant.  None of these depends on the field, so later
+    corrections over the same trusted set reuse them and only apply the
+    shape functions.  Another trusted set, grid or configuration replaces
+    the contents.  Each RomModel owns one (``mls_cache``), which is not saved
+    with the model.  Corrections write to the cache without a lock, so one
+    cache (one model) must not serve several threads at once.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple | None = None
+
+    def update(
+        self,
+        exposed: np.ndarray,
+        history: np.ndarray,
+        grid: SpatialGrid,
+        cfg: MlsConfig,
+    ) -> None:
+        """Make sure every node of ``exposed`` has an entry for ``history``."""
+        key = self._key
+        if key is None or key[0] is not grid or key[1] != cfg or not np.array_equal(
+            key[2], history
+        ):
+            self._reset(history, grid, cfg)
+        new = exposed[np.isnan(self.h[exposed])]
+        if new.size == 0:
+            return
+        rung = np.full(new.size, self.ladder.size)
+        if self.tree is not None:
+            need = cfg.required_neighbors(grid.dim)
+            _, d2 = _nearest(self.tree, self.hist_pts, grid.coords[new], need)
+            rung = np.searchsorted(self.ladder, np.sqrt(d2[:, -1]), side="right")
+        h = np.append(self.ladder, np.inf)[rung]  # inf: beyond the last rung
+        fit = np.isfinite(h)
+        if fit.any():
+            self._fit(new[fit], h[fit], grid, cfg)
+        self.h[new] = h  # only once the fits have succeeded
+
+    def _fit(self, nodes, h, grid, cfg) -> None:
+        xp = grid.coords[nodes]
+        sel, d2 = _balls(self.tree, self.hist_pts, xp, h)
+        d = np.sqrt(d2)
+        inside = d < h[:, None]
+        sel, d = sel[inside], d[inside]
+        counts = inside.sum(axis=1)
+        hk = np.repeat(h, counts)
+        offsets = (self.hist_pts[sel] - np.repeat(xp, counts, axis=0)) / hk[:, None]
+        shape = _shape_functions(offsets, cfg.weight(d / hk), counts, cfg.order)
+        first = np.cumsum(counts) - counts
+        self.start[nodes] = self.shape.size + first
+        self.count[nodes] = counts
+        self.lebesgue[nodes] = np.add.reduceat(np.abs(shape), first)
+        self.stencil = np.concatenate([self.stencil, self.hist_idx[sel]])
+        self.shape = np.concatenate([self.shape, shape])
+
+    def _reset(self, history: np.ndarray, grid: SpatialGrid, cfg: MlsConfig) -> None:
+        self._key = (grid, cfg, history.copy())
+        h0 = cfg.kernel_len if cfg.kernel_len is not None else 3.0 * grid.spacing()
+        ladder = [h0]
+        for _ in range(cfg.max_growths):
+            ladder.append(ladder[-1] * 1.5)
+        self.ladder = np.asarray(ladder)
+        self.hist_idx = np.flatnonzero(history)
+        self.hist_pts = grid.coords[self.hist_idx]
+        enough = self.hist_idx.size >= cfg.required_neighbors(grid.dim)
+        self.tree = cKDTree(self.hist_pts) if enough else None
+        self.h = np.full(grid.n_nodes, np.nan)  # nan: not looked at yet
+        self.start = np.zeros(grid.n_nodes, dtype=int)
+        self.count = np.zeros(grid.n_nodes, dtype=int)
+        self.lebesgue = np.full(grid.n_nodes, np.nan)
+        self.stencil = np.empty(0, dtype=int)
+        self.shape = np.empty(0)
+
+    def values(self, nodes: np.ndarray, field_values: np.ndarray) -> np.ndarray:
+        """Fitted values a_j . f[S_j] at ``nodes``, which must have stencils."""
+        counts = self.count[nodes]
+        first = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(self.start[nodes] - first, counts)
+        return np.add.reduceat(self.shape[pos] * field_values[self.stencil[pos]], first)
 
 
 def correct_field(
@@ -143,6 +321,7 @@ def correct_field(
     fluid_history: np.ndarray,
     grid: SpatialGrid,
     cfg: MlsConfig,
+    cache: StencilCache | None = None,
 ) -> tuple[np.ndarray, CorrectionReport]:
     """Replace values at newly exposed nodes by MLS fits over trusted nodes.
 
@@ -155,6 +334,11 @@ def correct_field(
     ``required_neighbors``-th nearest trusted node, and fits over the trusted
     nodes inside that radius.  Nodes beyond the last rung are left untouched
     and reported.
+
+    The fit is applied through its shape functions, kept in ``cache`` (a
+    fresh one when not given) for the next call over the same trusted set.
+    One warning per call names the corrected nodes whose Lebesgue constant
+    exceeds ``LEBESGUE_WARN``.
     """
     field_values = np.asarray(field_values, dtype=float)
     fluid_history = np.asarray(fluid_history, dtype=bool).ravel()
@@ -172,40 +356,29 @@ def correct_field(
     if exposed.size == 0:
         return corrected, report
 
-    ladder = [cfg.kernel_len if cfg.kernel_len is not None else 3.0 * grid.spacing()]
-    for _ in range(cfg.max_growths):
-        ladder.append(ladder[-1] * 1.5)
-    need = cfg.required_neighbors(grid.dim)
-    hist_idx = np.flatnonzero(fluid_history)
-    hist_pts = grid.coords[hist_idx]
-    xp = grid.coords[exposed]
-
-    rung = np.full(exposed.size, len(ladder))
-    if hist_idx.size >= need:
-        tree = cKDTree(hist_pts)
-        _, d2 = _nearest(tree, hist_pts, xp, need)
-        rung = np.searchsorted(ladder, np.sqrt(d2[:, -1]), side="right")
-    fit = rung < len(ladder)
+    cache = StencilCache() if cache is None else cache
+    cache.update(exposed, fluid_history, grid, cfg)
+    h = cache.h[exposed]
+    fit = np.isfinite(h)
     report.uncorrected = exposed[~fit].tolist()
     if not fit.any():
         return corrected, report
 
-    xp = xp[fit]
-    h = np.asarray(ladder)[rung[fit]]
-    sel, d2 = _balls(tree, hist_pts, xp, h)
-    d = np.sqrt(d2)
-    w = np.where(d < h[:, None], cfg.weight(d / h[:, None]), 0.0)
-    new_vals = _local_fit(
-        (hist_pts[sel] - xp[:, None, :]) / h[:, None, None],
-        field_values[hist_idx[sel]],
-        w,
-        _poly_terms(grid.dim, cfg.order),
-    )[:, 0]
-
     nodes = exposed[fit]
-    report.rows = [
-        (int(j), float(hj), float(field_values[j]), float(v))
-        for j, hj, v in zip(nodes, h, new_vals)
-    ]
+    new_vals = cache.values(nodes, field_values)
+    lebesgue = cache.lebesgue[nodes]
+    report.rows = list(
+        zip(nodes.tolist(), h[fit].tolist(), field_values[nodes].tolist(), new_vals.tolist())
+    )
+    report.lebesgue = lebesgue.tolist()
     corrected[nodes] = new_vals
+    high = lebesgue > LEBESGUE_WARN
+    if high.any():
+        worst = int(np.argmax(lebesgue))
+        warnings.warn(
+            f"{int(high.sum())} of {nodes.size} corrected nodes have a Lebesgue "
+            f"constant above {LEBESGUE_WARN:g}; the worst, node {int(nodes[worst])}, "
+            f"has {lebesgue[worst]:.3g}, so its fit can amplify field errors that much",
+            stacklevel=2,
+        )
     return corrected, report

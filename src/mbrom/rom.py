@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -38,7 +38,7 @@ from .gpr import (
     train,  # noqa: F401  perfbench/spans.py wraps mbrom.rom.train by name
     train_many,
 )
-from .mls import CorrectionReport, MlsConfig, correct_field
+from .mls import WEIGHTS, CorrectionReport, MlsConfig, StencilCache, correct_field
 from .pod import PodBasis, PodHorizon, PodThresholds
 
 __all__ = [
@@ -84,6 +84,9 @@ class RomModel:
     boundary_geometry: str | Callable | None = None
     horizon_gpr_gamma: BoundaryHorizon | None = None
     field_name: str = "u"
+    mls_cache: StencilCache = field(
+        default_factory=StencilCache, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.mode_models) != self.basis.retained:
@@ -149,7 +152,6 @@ def build(
     thresholds: PodThresholds = PodThresholds(),
     tolerances: GprTolerances = GprTolerances(),
     mls_cfg: MlsConfig | None = None,
-    fill_strategy: str = "ls_extrapolation",
     fill_order: int = 0,
     boundary_geometry: str | Callable | None = None,
     seed: int = 0,
@@ -183,7 +185,7 @@ def build(
                 "correction",
                 stacklevel=2,
             )
-        filled = fill_occluded(s, strategy=fill_strategy, order=fill_order)
+        filled = fill_occluded(s, order=fill_order)
     else:
         if s.boundary is not None:
             warnings.warn(
@@ -264,6 +266,7 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
                 history,
                 m.grid,
                 m.mls_cfg if m.mls_cfg is not None else MlsConfig(),
+                m.mls_cache,
             )
             corrected_nodes = report.corrected_nodes()
             if corrected_nodes.size:
@@ -409,6 +412,8 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         "t_star_pod": m.horizon_pod.t_star,
         "pod_unbounded": m.horizon_pod.unbounded,
         "t_star_gpr_a": m.horizon_gpr_a.t_star,
+        "gpr_a_at_data_end": m.horizon_gpr_a.at_data_end,
+        "gpr_a_capped": m.horizon_gpr_a.capped,
         "sigma_at_t_star": m.horizon_gpr_a.sigma_weighted,
         "t_star": m.t_star,
         "boundary_geometry": (
@@ -416,12 +421,20 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         ),
     }
     if m.mls_cfg is not None:
+        weight = getattr(m.mls_cfg.weight, "__name__", repr(m.mls_cfg.weight))
         meta["mls"] = {
             "order": m.mls_cfg.order,
             "kernel_len": m.mls_cfg.kernel_len,
             "min_neighbor_factor": m.mls_cfg.min_neighbor_factor,
             "max_growths": m.mls_cfg.max_growths,
+            "weight": weight,
         }
+        if WEIGHTS.get(weight) is not m.mls_cfg.weight:
+            warnings.warn(
+                f"MLS weight {weight!r} is not one of {sorted(WEIGHTS)}; the "
+                "saved model will not load",
+                stacklevel=2,
+            )
     if m.boundary_models is not None:
         bdir = out / "boundary"
         bdir.mkdir(exist_ok=True)
@@ -430,6 +443,8 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         meta["boundary_names"] = m.boundary.names
         meta["t_star_gpr_gamma"] = m.horizon_gpr_gamma.t_star
         meta["t_star_gpr_gamma_per_param"] = list(m.horizon_gpr_gamma.per_param)
+        meta["gpr_gamma_at_data_end"] = m.horizon_gpr_gamma.at_data_end
+        meta["gpr_gamma_capped"] = m.horizon_gpr_gamma.capped
         with open(out / "boundary_track.json", "w") as fh:
             json.dump(
                 {"names": m.boundary.names, "values": m.boundary.values.tolist()},
@@ -477,12 +492,21 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
         horizon_gamma = BoundaryHorizon(
             t_star=meta["t_star_gpr_gamma"],
             per_param=tuple(meta["t_star_gpr_gamma_per_param"]),
+            at_data_end=meta.get("gpr_gamma_at_data_end", False),
+            capped=meta.get("gpr_gamma_capped", False),
         )
     mls_cfg = None
     if "mls" in meta:
+        weight = meta["mls"].get("weight", "wendland_c2")
+        if weight not in WEIGHTS:
+            raise ValueError(
+                f"{src / 'model.json'}: unknown MLS weight {weight!r}; "
+                f"known weights are {sorted(WEIGHTS)}"
+            )
         mls_cfg = MlsConfig(
             order=meta["mls"]["order"],
             kernel_len=meta["mls"]["kernel_len"],
+            weight=WEIGHTS[weight],
             min_neighbor_factor=meta["mls"]["min_neighbor_factor"],
             max_growths=meta["mls"]["max_growths"],
         )
@@ -501,7 +525,10 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
             t_star=meta["t_star_pod"], unbounded=meta["pod_unbounded"]
         ),
         horizon_gpr_a=GprHorizon(
-            t_star=meta["t_star_gpr_a"], sigma_weighted=meta["sigma_at_t_star"]
+            t_star=meta["t_star_gpr_a"],
+            sigma_weighted=meta["sigma_at_t_star"],
+            at_data_end=meta.get("gpr_a_at_data_end", False),
+            capped=meta.get("gpr_a_capped", False),
         ),
         mls_cfg=mls_cfg,
         boundary=boundary,

@@ -175,7 +175,10 @@ class TestBubbleFileFlow:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["corrected_node_count"] > 0
         assert "R" in summary["boundary_values"]
-        assert (out / "correction_report.csv").exists()
+        lines = (out / "correction_report.csv").read_text().splitlines()
+        assert lines[0] == "node,h,before,after,lebesgue"
+        assert len(lines) == summary["corrected_node_count"] + 1
+        assert all(float(line.split(",")[4]) >= 1.0 for line in lines[1:])
 
     def test_horizon_includes_boundary(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -1,15 +1,15 @@
 """The batched, k-d-tree-indexed fill and MLS correction against their
 per-node definitions (``local_fit_oracles``), plus polynomial reproduction
-on random 2D scatter."""
+on random 2D scatter, and the cached shape functions of the correction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from local_fit_oracles import correct_oracle, fill_oracle
+from local_fit_oracles import batched_correct_oracle, correct_oracle, fill_oracle
 from mbrom.data import SpatialGrid, _ls_extrapolate
-from mbrom.mls import MlsConfig, correct_field
+from mbrom.mls import MlsConfig, StencilCache, correct_field
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -156,3 +156,85 @@ class TestCorrectionOracle:
         cfg = MlsConfig(order=0, kernel_len=2.0, min_neighbor_factor=3.0)
         report = self.compare(np.ones(30), np.array([0]), np.arange(30) > 0, g, cfg)
         assert report.rows[0][1] == 4.5
+
+
+class TestShapeFunctions:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 16),
+           order=st.integers(1, 3), max_growths=st.integers(0, 8))
+    def test_matches_batched_fit(self, seed, n, order, max_growths):
+        # a_j . f[S_j] and the first coefficient of the direct fit are two
+        # solves of one system: they agree to rounding, scaled by Lambda_j
+        grid, rng = scatter(seed, n)
+        exposed, history = moving_front(grid, rng)
+        field = rng.standard_normal(n * n)
+        cfg = MlsConfig(order=order, max_growths=max_growths)
+        out, report = correct_field(field, exposed, history, grid, cfg)
+        ref, rows, uncorrected = batched_correct_oracle(field, exposed, history, grid, cfg)
+        assert report.uncorrected == uncorrected
+        assert [r[:3] for r in report.rows] == [r[:3] for r in rows]
+        nodes = report.corrected_nodes()
+        lam = np.array(report.lebesgue)
+        assert np.all(np.abs(out[nodes] - ref[nodes]) <= 1e-12 * lam * np.abs(field).max())
+        np.testing.assert_array_equal(np.delete(out, nodes), np.delete(ref, nodes))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 16),
+           order=st.integers(0, 3))
+    def test_partition_of_unity_and_reproduction(self, seed, n, order):
+        grid, rng = scatter(seed, n)
+        exposed, history = moving_front(grid, rng)
+        cache = StencilCache()
+        cache.update(exposed, history, grid, MlsConfig(order=order))
+        for j in exposed[np.isfinite(cache.h[exposed])]:
+            part = slice(cache.start[j], cache.start[j] + cache.count[j])
+            a, stencil = cache.shape[part], cache.stencil[part]
+            lam = cache.lebesgue[j]
+            assert lam == pytest.approx(np.abs(a).sum(), rel=1e-14)
+            assert abs(a.sum() - 1.0) <= 1e-12 * lam
+            for ex in range(order + 1):
+                for ey in range(order + 1 - ex):
+                    p = grid.coords[:, 0] ** ex * grid.coords[:, 1] ** ey
+                    assert abs(a @ p[stencil] - p[j]) <= 1e-12 * lam * np.abs(p).max()
+
+
+class TestStencilCache:
+    @staticmethod
+    def assert_same(a, b):
+        (out_a, rep_a), (out_b, rep_b) = a, b
+        np.testing.assert_array_equal(out_a, out_b)
+        assert rep_a.rows == rep_b.rows  # node, h, before and after, bit for bit
+        assert rep_a.uncorrected == rep_b.uncorrected
+        assert rep_a.lebesgue == rep_b.lebesgue
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 16),
+           order=st.integers(1, 3), max_growths=st.integers(0, 3))
+    def test_any_query_order_gives_the_fresh_bits(self, seed, n, order, max_growths):
+        # nested exposures, as a shrinking body gives, queried in both
+        # orders through one cache and each through a fresh one
+        grid, rng = scatter(seed, n)
+        exposed, history = moving_front(grid, rng)
+        field = rng.standard_normal(n * n)
+        cfg = MlsConfig(order=order, max_growths=max_growths)
+        u = rng.random(exposed.size)
+        subsets = [exposed[u < p] for p in (0.3, 0.6, 1.0)]
+        fresh = [correct_field(field, e, history, grid, cfg) for e in subsets]
+        for order_ in (slice(None), slice(None, None, -1)):
+            cache = StencilCache()
+            got = [correct_field(field, e, history, grid, cfg, cache) for e in subsets[order_]]
+            for a, b in zip(got, fresh[order_]):
+                self.assert_same(a, b)
+
+    def test_new_history_set_replaces_entries(self):
+        grid, rng = scatter(5, 14)
+        exposed, history = moving_front(grid, rng)
+        field = rng.standard_normal(grid.n_nodes)
+        cfg = MlsConfig(order=2)
+        fewer = history & (grid.coords[:, 0] < 0.8)  # the body grew at the right
+        cache = StencilCache()
+        outs = []
+        for hist in (history, fewer, history):
+            outs.append(correct_field(field, exposed, hist, grid, cfg, cache))
+            self.assert_same(outs[-1], correct_field(field, exposed, hist, grid, cfg))
+        assert not np.array_equal(outs[0][0], outs[1][0])

@@ -178,11 +178,38 @@ class TestCorrectField:
                           MlsConfig())
 
     def test_report_csv(self, tmp_path):
-        report = CorrectionReport(rows=[(3, 0.1, 1.0, 2.0)], uncorrected=[7])
+        report = CorrectionReport(rows=[(3, 0.1, 1.0, 2.0)], uncorrected=[7],
+                                  lebesgue=[2.5])
         report.to_csv(tmp_path / "r.csv")
         text = (tmp_path / "r.csv").read_text()
-        assert text.splitlines()[0] == "node,h,before,after"
+        assert text.splitlines()[0] == "node,h,before,after,lebesgue"
         assert "3," in text
+        assert text.splitlines()[1].endswith(",2.5")
+
+
+class TestLebesgueFlag:
+    """Eight trusted nodes at the right end of a 200-node line: a node far to
+    their left extrapolates a cubic over all of them."""
+
+    def case(self, exposed):
+        g = line_grid(200)
+        history = np.zeros(200, bool)
+        history[-8:] = True
+        cfg = MlsConfig(order=3, min_neighbor_factor=2.0)
+        return correct_field(np.cos(3 * g.coords[:, 0]), np.array(exposed), history, g, cfg)
+
+    def test_ill_conditioned_node_warns(self):
+        with pytest.warns(UserWarning, match=r"1 of 2 corrected nodes .* node 150"):
+            out, report = self.case([150, 180])
+        lam = dict(zip(report.corrected_nodes(), report.lebesgue))
+        assert lam[150] == pytest.approx(1.49e4, rel=1e-2)
+        assert lam[180] == pytest.approx(458, rel=1e-2)
+        assert out[150] == report.rows[0][3]  # the warning changes no value
+
+    def test_moderate_node_does_not_warn(self, recwarn):
+        _, report = self.case([180])
+        assert len(report.lebesgue) == 1
+        assert not [w for w in recwarn if "Lebesgue" in str(w.message)]
 
 
 class TestConfigValidation:

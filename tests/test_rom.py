@@ -1,8 +1,14 @@
 """End-to-end ROM construction, forecasting and adaptive-loop tests."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import mbrom.mls
+import mbrom.rom
+from local_fit_oracles import batched_correct_oracle
 from mbrom.benchmarks import (
     BubbleConfig,
     BurgersConfig,
@@ -13,6 +19,7 @@ from mbrom.benchmarks import (
 )
 from mbrom.data import SpatialGrid
 from mbrom.gpr import GprModel, GprTolerances
+from mbrom.mls import MlsConfig
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
     HorizonExceededError,
@@ -196,6 +203,91 @@ class TestForecastMovingBoundary:
         assert sorted(seen) == sorted(map(id, gps))
 
 
+def closing_wall(grid, gamma):
+    """The cavity, plus an outer wall that closes in as the cavity shrinks:
+    the body grows past its window footprint, so the trusted set changes
+    with the query time."""
+    r = grid.coords[:, 0]
+    return (r >= gamma[0]) & (r < 5.0 - 40.0 * (1.04 - gamma[0]))
+
+
+class TestStencilCache:
+    TIMES = (60.5, 64.0, 61.7, 63.2, 62.4)
+
+    @staticmethod
+    def assert_same(a, b):
+        np.testing.assert_array_equal(a.field, b.field)
+        assert a.correction_report.rows == b.correction_report.rows  # h bit for bit
+        np.testing.assert_array_equal(a.corrected_nodes, b.corrected_nodes)
+        assert a.correction_report.uncorrected == b.correction_report.uncorrected
+
+    def test_query_order_and_fresh_model_agree(self, bubble_model):
+        _, _, m = bubble_model
+        ahead, back = dataclasses.replace(m), dataclasses.replace(m)
+        forward = [forecast(ahead, t, force=True) for t in self.TIMES]
+        backward = [forecast(back, t, force=True) for t in self.TIMES[::-1]][::-1]
+        for t, a, b in zip(self.TIMES, forward, backward):
+            self.assert_same(a, b)
+            self.assert_same(a, forecast(dataclasses.replace(m), t, force=True))
+
+    def test_repeated_query_fits_nothing(self, bubble_model, monkeypatch):
+        _, _, m = bubble_model
+        m = dataclasses.replace(m)
+        calls = []
+        kernel = mbrom.mls._shape_functions
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return kernel(*args)
+
+        monkeypatch.setattr(mbrom.mls, "_shape_functions", counted)
+        first = forecast(m, 64.0, force=True)
+        assert sum(calls) == first.corrected_nodes.size > 0
+        calls.clear()
+        self.assert_same(forecast(m, 64.0, force=True), first)
+        assert calls == []
+
+    def test_history_change_matches_fresh_model(self):
+        cfg = BubbleConfig(nr=120)
+        s, _ = bubble_snapshots(cfg, 51.0, 60.0, 10)
+        m = build(s, boundary_geometry=closing_wall)
+        times = (61.0, 64.0, 61.0)
+        got = [forecast(m, t, force=True) for t in times]
+        trusted = [fc.fluid_mask & m.window_all_fluid for fc in got]
+        assert not np.array_equal(trusted[0], trusted[1])
+        for t, fc in zip(times, got):
+            assert fc.corrected_nodes.size > 0
+            self.assert_same(fc, forecast(dataclasses.replace(m), t, force=True))
+
+    @pytest.mark.parametrize("nr", [270, 120])
+    def test_fixtures_match_batched_fit_without_warning(self, nr, monkeypatch):
+        # the acceptance gate of the shape-function form on the cavity at two
+        # resolutions: |dv_j| <= 1e-12 Lambda_j max|f|, same h and node sets
+        s, _ = bubble_snapshots(BubbleConfig(nr=nr), 51.0, 60.0, 10)
+        m = build(s)
+        calls = []
+        correct = mbrom.rom.correct_field
+
+        def captured(*args):
+            calls.append((args, correct(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(mbrom.rom, "correct_field", captured)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in self.TIMES:
+                forecast(m, t, force=True)
+        for args, (out, report) in calls:
+            ref, rows, uncorrected = batched_correct_oracle(*args[:5])
+            assert report.uncorrected == uncorrected
+            assert [r[:3] for r in report.rows] == [r[:3] for r in rows]
+            nodes = report.corrected_nodes()
+            lam = np.array(report.lebesgue)
+            assert np.all(lam >= 1.0) and lam.max() < mbrom.mls.LEBESGUE_WARN
+            scale = np.abs(args[0]).max()
+            assert np.all(np.abs(out[nodes] - ref[nodes]) <= 1e-12 * lam * scale)
+
+
 class TestRelativeError:
     def grid(self):
         return SpatialGrid.uniform_1d(0.0, 1.0, 11)
@@ -284,3 +376,23 @@ class TestSerialization:
         np.testing.assert_array_equal(fc1.field, fc2.field)
         np.testing.assert_array_equal(fc1.corrected_nodes, fc2.corrected_nodes)
         assert fc1.boundary_values == fc2.boundary_values
+
+    def test_horizon_flags_and_weight_round_trip(self, tmp_path, bubble_model):
+        _, _, m = bubble_model
+        assert m.horizon_gpr_gamma.capped  # the radius GP stays certain to the cap
+        save_rom_model(m, tmp_path / "model")
+        m2 = load_rom_model(tmp_path / "model")
+        assert m2.horizon_gpr_a == m.horizon_gpr_a
+        assert m2.horizon_gpr_gamma == m.horizon_gpr_gamma
+        assert m2.mls_cfg == m.mls_cfg
+
+    def test_unknown_weight_rejected(self, tmp_path, bubble_model):
+        def quartic(q):
+            return np.where(q < 1.0, (1.0 - q) ** 4, 0.0)
+
+        _, _, m = bubble_model
+        m = dataclasses.replace(m, mls_cfg=MlsConfig(weight=quartic))
+        with pytest.warns(UserWarning, match="'quartic' .* will not load"):
+            save_rom_model(m, tmp_path / "model")
+        with pytest.raises(ValueError, match="unknown MLS weight 'quartic'"):
+            load_rom_model(tmp_path / "model")
