@@ -46,13 +46,13 @@ from .mls import MlsConfig, StencilCache, correct_field, mls_fit, mls_value, wen
 from .pod import (
     PodBasis,
     PodThresholds,
-    correlation_matrix,
     decompose,
     pod_horizon,
     project,
     reconstruct,
     ric,
     truncate,
+    truncate_to,
 )
 from .rom import (
     HorizonExceededError,

@@ -96,6 +96,21 @@ def _write_field_csv(path: Path, grid, field) -> None:
     )
 
 
+def _horizons(model) -> dict:
+    """The three horizons, their minimum t* and the binding criterion."""
+    return {
+        "t_star_pod": model.horizon_pod.t_star,
+        "t_star_gpr_a": model.horizon_gpr_a.t_star,
+        "t_star_gpr_gamma": (
+            model.horizon_gpr_gamma.t_star
+            if model.horizon_gpr_gamma is not None
+            else None
+        ),
+        "t_star": model.t_star,
+        "binding": model.binding_component(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -152,15 +167,7 @@ def cmd_build(args) -> int:
             {"theta_f": m.theta_f, "theta_l": m.theta_l, "noise_std": m.noise_std}
             for m in model.mode_models
         ],
-        "t_star_pod": model.horizon_pod.t_star,
-        "t_star_gpr_a": model.horizon_gpr_a.t_star,
-        "t_star_gpr_gamma": (
-            model.horizon_gpr_gamma.t_star
-            if model.horizon_gpr_gamma is not None
-            else None
-        ),
-        "t_star": model.t_star,
-        "binding": model.binding_component(),
+        **_horizons(model),
         "seed": seed,
     }
     _json_dump(report, out / "report.json")
@@ -210,9 +217,11 @@ def cmd_forecast(args) -> int:
                 f"truth dataset has no snapshot at t={fc.t_query:.6g}"
             )
         # a moving-boundary forecast is scored over its predicted fluid region
-        sub = slice(None) if fc.fluid_mask is None else fc.fluid_mask
+        fluid = True if fc.fluid_mask is None else fc.fluid_mask
         summary["relative_error"] = relative_error(
-            fc.field[sub], truth_snaps.fields[idx][sub], _subgrid(model.grid, sub)
+            np.where(fluid, fc.field, 0.0),
+            np.where(fluid, truth_snaps.fields[idx], 0.0),
+            model.grid,
         )
     if fc.correction_report is not None and fc.correction_report.rows:
         fc.correction_report.to_csv(out / "correction_report.csv")
@@ -222,18 +231,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_horizon(args) -> int:
-    model = load_rom_model(args.model)
-    payload = {
-        "t_star_pod": model.horizon_pod.t_star,
-        "t_star_gpr_a": model.horizon_gpr_a.t_star,
-        "t_star_gpr_gamma": (
-            model.horizon_gpr_gamma.t_star
-            if model.horizon_gpr_gamma is not None
-            else None
-        ),
-        "t_star": model.t_star,
-        "binding": model.binding_component(),
-    }
+    payload = _horizons(load_rom_model(args.model))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _json_dump(payload, Path(args.out))
@@ -244,41 +242,24 @@ def cmd_horizon(args) -> int:
 # bench suites
 
 
-def _burgers_pod(re: float, m: int = 20):
+def _burgers(re: float):
     cfg = bench_mod.BurgersConfig(reynolds=re)
-    snaps = bench_mod.burgers_snapshots(cfg, 0.3, 0.5, m)
-    basis_full = pod_mod.decompose(pod_mod.correlation_matrix(snaps), snaps)
-    return cfg, snaps, basis_full
-
-
-def _forecast_fixed_r(cfg, snaps, basis_full, r, t_query):
-    from dataclasses import replace
-
-    basis = replace(
-        basis_full,
-        modes=basis_full.modes[:r],
-        coeffs=basis_full.coeffs[:, :r],
-        retained=r,
-        rrms_tail=float(
-            np.sqrt(basis_full.eigenvalues[r:].sum() / basis_full.eigenvalues.sum())
-        ),
-    )
-    posterior = [m.predict(t_query) for m in train_many(snaps.times, basis.coeffs)]
-    coeffs = np.array([mu[0] for mu, _ in posterior])
-    sigmas = np.array([sd[0] for _, sd in posterior])
-    field = pod_mod.reconstruct(basis, snaps.mean, coeffs)
-    sigma = (basis.eigenvalues[:r] * sigmas).sum() / basis.eigenvalues.sum()
-    return field, float(sigma)
+    snaps = bench_mod.burgers_snapshots(cfg, 0.3, 0.5, 20)
+    return cfg, snaps, bench_mod.burgers_exact(snaps.grid.coords[:, 0], 0.6, cfg)
 
 
 def _bench_burgers_sweep(out: Path) -> None:
     rows = []
     for re in (1.0, 100.0, 300.0, 500.0):
-        cfg, snaps, basis_full = _burgers_pod(re)
-        x = snaps.grid.coords[:, 0]
-        truth = bench_mod.burgers_exact(x, 0.6, cfg)
+        _, snaps, truth = _burgers(re)
+        basis = pod_mod.decompose(snaps)
+        coeffs = np.array(
+            [m.predict(0.6)[0][0] for m in train_many(snaps.times, basis.coeffs[:, :8])]
+        )
         for r in range(1, 9):
-            field, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6)
+            field = pod_mod.reconstruct(
+                pod_mod.truncate_to(basis, r), snaps.mean, coeffs[:r]
+            )
             rows.append((re, r, relative_error(field, truth, snaps.grid)))
     with open(out / "burgers_sweep.csv", "w") as fh:
         fh.write("re,r,rel_error\n")
@@ -287,18 +268,18 @@ def _bench_burgers_sweep(out: Path) -> None:
 
 
 def _bench_error_growth(out: Path) -> None:
-    cfg, snaps, basis_full = _burgers_pod(500.0)
+    cfg, snaps, _ = _burgers(500.0)
+    model = build(snaps)
     x = snaps.grid.coords[:, 0]
     rows = []
     for dt_star in np.linspace(0.03, 0.3, 10):
         tq = 0.5 + dt_star
-        field, sigma = _forecast_fixed_r(cfg, snaps, basis_full, 4, tq)
-        truth = bench_mod.burgers_exact(x, tq, cfg)
-        diff = truth - field
+        fc = forecast(model, tq, force=True)
+        diff = bench_mod.burgers_exact(x, tq, cfg) - fc.field
         eps = float(
             np.sqrt(np.sum(diff * diff * snaps.grid.quad_weights))
         )
-        rows.append((dt_star, eps, sigma))
+        rows.append((dt_star, eps, fc.sigma_weighted))
     with open(out / "error_growth.csv", "w") as fh:
         fh.write("dt_star,eps_rom,sigma_weighted\n")
         for dt_star, eps, sigma in rows:
@@ -308,22 +289,20 @@ def _bench_error_growth(out: Path) -> None:
 def _bench_galerkin_compare(out: Path) -> None:
     rows = []
     for re in (1.0, 100.0, 300.0, 500.0):
-        cfg, snaps, basis_full = _burgers_pod(re)
-        basis = pod_mod.truncate(basis_full, 0.01)
-        r = basis.retained
-        x = snaps.grid.coords[:, 0]
-        truth = bench_mod.burgers_exact(x, 0.6, cfg)
-        field_gpr, _ = _forecast_fixed_r(cfg, snaps, basis_full, r, 0.6)
-        ops = assemble_operators(basis, snaps.mean, snaps.grid, re)
+        _, snaps, truth = _burgers(re)
+        model = build(snaps)
+        basis = model.basis
+        field_gpr = forecast(model, 0.6, force=True).field
+        ops = assemble_operators(basis, model.mean, snaps.grid, re)
         dt = (snaps.times[1] - snaps.times[0]) / 100.0
         _, traj = integrate(
             ops, basis.coeffs[0], (snaps.times[0], 0.6), dt, np.array([0.6])
         )
-        field_gal = pod_mod.reconstruct(basis, snaps.mean, traj[-1])
+        field_gal = pod_mod.reconstruct(basis, model.mean, traj[-1])
         rows.append(
             (
                 re,
-                r,
+                basis.retained,
                 relative_error(field_gpr, truth, snaps.grid),
                 relative_error(field_gal, truth, snaps.grid),
             )
@@ -357,7 +336,8 @@ def _bench_bubble(out: Path) -> None:
     exp = fc.corrected_nodes
     err_b = float(np.abs(uncorrected - truth)[exp].max()) if exp.size else 0.0
     err_a = float(np.abs(fc.field - truth)[exp].max()) if exp.size else 0.0
-    sub = np.flatnonzero(fc.fluid_mask)
+    # scored over the predicted fluid region
+    truth_fluid = np.where(fc.fluid_mask, truth, 0.0)
     summary = {
         "t_query": t_query,
         "t_star": fc.t_star,
@@ -366,23 +346,14 @@ def _bench_bubble(out: Path) -> None:
         "max_err_exposed_before": err_b,
         "max_err_exposed_after": err_a,
         "rel_error_uncorrected": relative_error(
-            uncorrected[sub], truth[sub],
-            _subgrid(model.grid, sub),
+            np.where(fc.fluid_mask, uncorrected, 0.0), truth_fluid, model.grid
         ),
         "rel_error_corrected": relative_error(
-            fc.field[sub], truth[sub], _subgrid(model.grid, sub)
+            np.where(fc.fluid_mask, fc.field, 0.0), truth_fluid, model.grid
         ),
         "boundary_values": fc.boundary_values,
     }
     _json_dump(summary, out / "bubble_summary.json")
-
-
-def _subgrid(grid, idx):
-    from .data import SpatialGrid
-
-    return SpatialGrid(
-        dim=grid.dim, coords=grid.coords[idx], quad_weights=grid.quad_weights[idx]
-    )
 
 
 def cmd_bench(args) -> int:

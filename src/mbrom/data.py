@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -393,7 +392,7 @@ def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, or
 def fill_occluded(
     s: SnapshotSet,
     strategy: str = "ls_extrapolation",
-    order: int = 1,
+    order: int = 0,
     body_values: np.ndarray | float | None = None,
 ) -> SnapshotSet:
     """Assign values to occluded nodes so POD can run on the full domain.
@@ -442,19 +441,24 @@ def fill_occluded(
 
 
 def _read_matrix(path: Path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return _parse_matrix(path, enumerate(csv.reader(fh), start=1))
+
+
+def _parse_matrix(path: Path, numbered_rows) -> np.ndarray:
+    """Float matrix from (line number, CSV row) pairs; blank rows are skipped."""
     rows = []
     lines = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path.name}: non-numeric entry at row {i}") from exc
-            lines.append(i)
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path.name}: ragged row at row {i}")
+    for i, row in numbered_rows:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: non-numeric entry at row {i}") from exc
+        lines.append(i)
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path.name}: ragged row at row {i}")
     if not rows:
         raise ValueError(f"{path.name}: empty matrix file")
     mat = np.asarray(rows, dtype=float)
@@ -505,18 +509,9 @@ def load_snapshots(manifest_path: str | Path) -> SnapshotSet:
         bpath = base / meta["boundary"]
         with open(bpath, newline="") as fh:
             reader = csv.reader(fh)
-            names = [h.strip() for h in next(reader)]
-            vals = []
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    vals.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{bpath.name}: non-numeric entry at row {i}") from exc
-                if not all(map(math.isfinite, vals[-1])):
-                    raise ValueError(f"{bpath.name}: non-finite entry at row {i}")
-        boundary = BoundaryTrack(names=names, values=np.asarray(vals))
+            names = [h.strip() for h in next(reader, [])]
+            values = _parse_matrix(bpath, enumerate(reader, start=2))
+        boundary = BoundaryTrack(names=names, values=values)
 
     return SnapshotSet(
         grid=grid,

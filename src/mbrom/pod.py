@@ -1,10 +1,10 @@
-"""Correlation-based proper orthogonal decomposition.
+"""Proper orthogonal decomposition by the method of snapshots.
 
-The M x M snapshot correlation matrix lives under the grid inner product;
-its spectral decomposition (computed stably from the weighted snapshots
-themselves) yields orthonormal spatial modes with energy-ranked
-eigenvalues.  Truncation keeps the smallest mode count whose relative
-root-mean-square tail falls below a threshold.
+The eigenpairs of the M x M snapshot correlation matrix under the grid
+inner product, computed stably from the weighted snapshots themselves,
+yield orthonormal spatial modes with energy-ranked eigenvalues.
+Truncation keeps the smallest mode count whose relative root-mean-square
+tail falls below a threshold.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ __all__ = [
     "PodBasis",
     "PodThresholds",
     "PodHorizon",
-    "correlation_matrix",
     "decompose",
     "truncate",
+    "truncate_to",
     "project",
     "reconstruct",
     "reconstruction_error",
@@ -33,10 +33,6 @@ __all__ = [
     "save_pod_basis",
     "load_pod_basis",
 ]
-
-# symmetry slack for a user-supplied correlation matrix, relative to its scale
-NEG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class PodThresholds:
@@ -76,29 +72,19 @@ class PodBasis:
         return float(np.sum(self.eigenvalues[r:]))
 
 
-def correlation_matrix(s: SnapshotSet) -> np.ndarray:
-    """Snapshot correlation matrix A_ij = (fluct_i, fluct_j); symmetrized."""
-    wf = s.fluct * s.grid.quad_weights
-    A = wf @ s.fluct.T
-    return 0.5 * (A + A.T)
-
-
-def decompose(A: np.ndarray, s: SnapshotSet) -> PodBasis:
+def decompose(s: SnapshotSet) -> PodBasis:
     """Spectral decomposition of the snapshot correlation with all M modes.
 
-    The eigenpairs of ``A`` are obtained from the singular value
-    decomposition of the weight-scaled fluctuation matrix (whose Gram matrix
-    ``A`` is), which keeps the modes orthonormal and the tail-energy
-    identities exact even for eigenvalues near round-off.  Only modes with
-    an exactly zero singular value are excluded from the orthonormal set:
-    their rows in ``modes`` and columns in ``coeffs`` are zero.
+    The eigenpairs of the correlation matrix A_ij = (fluct_i, fluct_j) are
+    obtained from the singular value decomposition of the weight-scaled
+    fluctuation matrix (whose Gram matrix A is), without forming A; this
+    keeps the modes orthonormal and the tail-energy identities exact even
+    for eigenvalues near round-off.  ``coeffs @ coeffs.T`` equals A.  Only
+    modes with an exactly zero singular value are excluded from the
+    orthonormal set: their rows in ``modes`` and columns in ``coeffs`` are
+    zero.
     """
-    A = np.asarray(A, dtype=float)
     M = s.n_snapshots
-    if A.shape != (M, M):
-        raise ValueError(f"correlation matrix shape {A.shape} != ({M},{M})")
-    if np.abs(A - A.T).max() > NEG_TOL * max(np.abs(A).max(), 1e-300):
-        raise ValueError("correlation matrix is not symmetric")
     sqw = np.sqrt(s.grid.quad_weights)
     U, sing, Vt = np.linalg.svd(s.fluct * sqw, full_matrices=False)
     lam = np.zeros(M)
@@ -122,19 +108,25 @@ def truncate(b: PodBasis, alpha_pod: float) -> PodBasis:
         raise ValueError(f"alpha_pod must lie in (0,1), got {alpha_pod}")
     lam = b.eigenvalues
     total = lam.sum()
-    M = lam.shape[0]
-    for R in range(1, M + 1):
-        rrms = np.sqrt(lam[R:].sum() / total)
-        if rrms < alpha_pod:
-            return replace(
-                b,
-                modes=b.modes[:R],
-                coeffs=b.coeffs[:, :R],
-                retained=R,
-                rrms_tail=float(rrms),
-            )
+    for R in range(1, lam.shape[0] + 1):
+        if np.sqrt(lam[R:].sum() / total) < alpha_pod:
+            return truncate_to(b, R)
     # unreachable: R = M always gives zero tail
     return b
+
+
+def truncate_to(b: PodBasis, r: int) -> PodBasis:
+    """Keep the first ``r`` modes; the tail error is recomputed for ``r``."""
+    if not (1 <= r <= b.retained):
+        raise ValueError(f"cannot keep {r} of {b.retained} modes")
+    lam = b.eigenvalues
+    return replace(
+        b,
+        modes=b.modes[:r],
+        coeffs=b.coeffs[:, :r],
+        retained=r,
+        rrms_tail=float(np.sqrt(lam[r:].sum() / lam.sum())),
+    )
 
 
 def project(s: SnapshotSet, b: PodBasis) -> np.ndarray:
@@ -225,18 +217,10 @@ def load_pod_basis(in_dir: str | Path) -> PodBasis:
     src = Path(in_dir)
     with open(src / "pod.json") as fh:
         meta = json.load(fh)
-    lam = np.loadtxt(src / "eigenvalues.csv", delimiter=",").ravel()
-    modes = np.atleast_2d(np.loadtxt(src / "modes.csv", delimiter=","))
-    coeffs = np.atleast_2d(np.loadtxt(src / "coeffs.csv", delimiter=","))
-    R = int(meta["retained"])
-    if modes.shape[0] != R and modes.shape[1] == R:
-        modes = modes.T
-    if coeffs.shape[1] != R and coeffs.shape[0] == R:
-        coeffs = coeffs.T
     return PodBasis(
-        eigenvalues=lam,
-        modes=modes,
-        retained=R,
-        coeffs=coeffs,
+        eigenvalues=np.loadtxt(src / "eigenvalues.csv", delimiter=",").ravel(),
+        modes=np.loadtxt(src / "modes.csv", delimiter=",", ndmin=2),
+        retained=int(meta["retained"]),
+        coeffs=np.loadtxt(src / "coeffs.csv", delimiter=",", ndmin=2),
         rrms_tail=float(meta["rrms_tail"]),
     )

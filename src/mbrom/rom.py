@@ -193,8 +193,7 @@ def build(
             )
         filled = s
 
-    A = _pod.correlation_matrix(filled)
-    basis = _pod.truncate(_pod.decompose(A, filled), thresholds.alpha_pod)
+    basis = _pod.truncate(_pod.decompose(filled), thresholds.alpha_pod)
     horizon_pod = _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)
     mode_models = train_many(filled.times, basis.coeffs[:, :basis.retained])
     horizon_a = gpr_horizon_modes(

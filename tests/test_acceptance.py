@@ -34,7 +34,6 @@ from mbrom.mls import MlsConfig, mls_value
 from mbrom.pod import (
     PodBasis,
     PodThresholds,
-    correlation_matrix,
     decompose,
     pod_horizon,
     reconstruct,
@@ -57,7 +56,7 @@ def burgers_sets():
         cfg = BurgersConfig(reynolds=re)
         t_begin = time.perf_counter()
         s = burgers_snapshots(cfg, 0.3, 0.5, 20)
-        basis_full = decompose(correlation_matrix(s), s)
+        basis_full = decompose(s)
         basis = truncate(basis_full, 0.01)
         elapsed = time.perf_counter() - t_begin
         out[re] = (cfg, s, basis_full, basis, elapsed)
@@ -141,7 +140,7 @@ def test_criterion_3_pod_identities(burgers_sets, bubble_run):
     datasets.append(fill_occluded(bubble_run[1], "ls_extrapolation", order=0))
     worst_orth = worst_trace = worst_recon = 0.0
     for s in datasets:
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         m = s.n_snapshots
         keep = b.eigenvalues > 0.0
         gram = np.array(

@@ -11,7 +11,7 @@ from mbrom.benchmarks import (
     burgers_exact,
     burgers_snapshots,
 )
-from mbrom.pod import correlation_matrix, decompose, truncate
+from mbrom.pod import decompose, truncate
 
 
 class TestBurgersExact:
@@ -73,7 +73,7 @@ class TestBurgersSnapshots:
     def test_paper_mode_counts(self, re, r_expected):
         cfg = BurgersConfig(reynolds=re)
         s = burgers_snapshots(cfg, 0.3, 0.5, 20)
-        basis = truncate(decompose(correlation_matrix(s), s), 0.01)
+        basis = truncate(decompose(s), 0.01)
         assert basis.retained == r_expected
 
 

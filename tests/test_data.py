@@ -156,6 +156,21 @@ class TestLoadSnapshots:
         with pytest.raises(ValueError, match="rows"):
             load_snapshots(tmp_path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "boundary.csv: empty matrix file"),
+            ("R\n", "boundary.csv: empty matrix file"),
+            ("R\n1.5\n1.25,2.0\n", "boundary.csv: ragged row at row 3"),
+        ],
+        ids=["empty", "header_only", "ragged"],
+    )
+    def test_malformed_boundary_file(self, tmp_path, text, message):
+        write_dataset(tmp_path, [[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0], boundary=text)
+        with pytest.raises(ValueError) as exc:
+            load_snapshots(tmp_path)
+        assert str(exc.value) == message
+
     def test_boundary_track(self, tmp_path):
         write_dataset(
             tmp_path,

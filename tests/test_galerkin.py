@@ -6,7 +6,7 @@ import pytest
 from mbrom.benchmarks import BurgersConfig, burgers_exact, burgers_snapshots
 from mbrom.data import SpatialGrid, inner_product
 from mbrom.galerkin import GalerkinOperators, assemble_operators, integrate
-from mbrom.pod import PodBasis, correlation_matrix, decompose, reconstruct, truncate
+from mbrom.pod import PodBasis, decompose, reconstruct, truncate
 from mbrom.rom import relative_error
 
 
@@ -43,7 +43,7 @@ class TestAssemble:
     def test_quadratic_term_against_quadrature(self):
         cfg = BurgersConfig(reynolds=100.0, nx=501, dx=1.0 / 500)
         s = burgers_snapshots(cfg, 0.3, 0.5, 8)
-        basis = truncate(decompose(correlation_matrix(s), s), 0.01)
+        basis = truncate(decompose(s), 0.01)
         ops = assemble_operators(basis, s.mean, s.grid, 100.0)
         dx = 1.0 / 500
         for k in range(basis.retained):
@@ -100,7 +100,7 @@ class TestIntegrate:
     def test_dt_refinement_converged(self):
         cfg = BurgersConfig(reynolds=100.0)
         s = burgers_snapshots(cfg, 0.3, 0.5, 20)
-        basis = truncate(decompose(correlation_matrix(s), s), 0.01)
+        basis = truncate(decompose(s), 0.01)
         ops = assemble_operators(basis, s.mean, s.grid, 100.0)
         a0 = basis.coeffs[0]
         dt = (s.times[1] - s.times[0]) / 100.0
@@ -114,7 +114,7 @@ class TestBurgersForecast:
     def test_galerkin_matches_exact(self, re, tol):
         cfg = BurgersConfig(reynolds=re)
         s = burgers_snapshots(cfg, 0.3, 0.5, 20)
-        basis = truncate(decompose(correlation_matrix(s), s), 0.01)
+        basis = truncate(decompose(s), 0.01)
         ops = assemble_operators(basis, s.mean, s.grid, re)
         dt = (s.times[1] - s.times[0]) / 100.0
         _, traj = integrate(ops, basis.coeffs[0], (0.3, 0.6), dt, np.array([0.6]))

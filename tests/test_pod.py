@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrom.benchmarks import BurgersConfig, burgers_snapshots
 from mbrom.data import SnapshotSet, SpatialGrid, inner_product
 from mbrom.pod import (
     PodBasis,
     PodThresholds,
-    correlation_matrix,
     decompose,
     load_pod_basis,
     pod_horizon,
@@ -18,7 +19,9 @@ from mbrom.pod import (
     ric,
     save_pod_basis,
     truncate,
+    truncate_to,
 )
+from pod_oracles import correlation_matrix
 
 
 def unit_grid(n):
@@ -94,7 +97,7 @@ class TestDecompose:
         g = unit_grid(30)
         v = np.sin(np.pi * g.coords[:, 0])
         s = SnapshotSet(g, [0.0, 1.0], np.array([v, -v]))
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         c = inner_product(s.fluct[0], s.fluct[0], g)
         np.testing.assert_allclose(b.eigenvalues, [2 * c, 0.0], atol=1e-12)
         # leading mode is the normalized snapshot fluctuation
@@ -105,7 +108,7 @@ class TestDecompose:
     def test_orthonormality(self):
         for seed in (0, 1, 2):
             s = random_set(seed, m=8)
-            b = decompose(correlation_matrix(s), s)
+            b = decompose(s)
             keep = b.eigenvalues > 0.0
             gram = np.array(
                 [
@@ -119,17 +122,34 @@ class TestDecompose:
     def test_trace_identity_burgers(self):
         cfg = BurgersConfig(reynolds=100.0, nx=201, dx=1.0 / 200)
         s = burgers_snapshots(cfg, 0.3, 0.5, 6)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         energy = sum(
             inner_product(s.fluct[i], s.fluct[i], s.grid) for i in range(6)
         )
         assert b.eigenvalues.sum() == pytest.approx(energy, rel=1e-10)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12),
+           n=st.integers(2, 60))
+    def test_matches_correlation_oracle(self, seed, m, n):
+        # on random positive weights, the SVD route yields the eigenpairs of A
+        rng = np.random.default_rng(seed)
+        grid = SpatialGrid(dim=1, coords=np.sort(rng.random(n))[:, None],
+                           quad_weights=rng.uniform(0.01, 2.0, n))
+        s = SnapshotSet(grid, np.arange(float(m)), rng.standard_normal((m, n)))
+        A = correlation_matrix(s)
+        b = decompose(s)
+        scale = np.abs(A).max()
+        np.testing.assert_allclose(
+            b.eigenvalues, np.linalg.eigvalsh(A)[::-1], rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_allclose(b.coeffs @ b.coeffs.T, A, rtol=0, atol=1e-12 * scale)
+
     def test_degenerate_input(self):
         g = unit_grid(10)
         s = SnapshotSet(g, [0.0, 1.0], np.full((2, 10), 3.0))
         with pytest.raises(ValueError, match="degenerate"):
-            decompose(correlation_matrix(s), s)
+            decompose(s)
 
 
 class TestTruncate:
@@ -164,11 +184,21 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(self.basis_with([1.0, 0.5]), 1.5)
 
+    def test_truncate_to_given_count(self):
+        b = self.basis_with([9.0, 1.0])
+        one = truncate_to(b, 1)
+        assert one.retained == 1 and one.rrms_tail == truncate(b, 0.4).rrms_tail
+        assert one.modes.shape == (1, 4) and one.coeffs.shape == (2, 1)
+        assert truncate_to(b, 2).rrms_tail == 0.0
+        for r in (0, 3):
+            with pytest.raises(ValueError, match="cannot keep"):
+                truncate_to(b, r)
+
 
 class TestProjectReconstruct:
     def test_full_round_trip(self):
         s = random_set(12, m=6, n=50)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         for i in range(6):
             rec = reconstruct(b, s.mean, b.coeffs[i])
             np.testing.assert_allclose(rec, s.fields[i], rtol=0,
@@ -176,7 +206,7 @@ class TestProjectReconstruct:
 
     def test_project_matches_eigvec_formula(self):
         s = random_set(4, m=7)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         coeffs = project(s, b)
         np.testing.assert_allclose(
             coeffs, b.coeffs, rtol=0, atol=1e-10 * np.abs(b.coeffs).max()
@@ -184,21 +214,21 @@ class TestProjectReconstruct:
 
     def test_zero_fluct_projects_to_zero(self):
         s = random_set(1, m=5)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         g = s.grid
         flat = SnapshotSet(g, [0.0, 1.0], np.full((2, g.n_nodes), 1.25))
         np.testing.assert_allclose(project(flat, b), 0.0, atol=1e-12)
 
     def test_zero_coeffs_give_mean(self):
         s = random_set(2, m=5)
-        b = truncate(decompose(correlation_matrix(s), s), 0.5)
+        b = truncate(decompose(s), 0.5)
         np.testing.assert_array_equal(
             reconstruct(b, s.mean, np.zeros(b.retained)), s.mean
         )
 
     def test_length_mismatch(self):
         s = random_set(2, m=5)
-        b = truncate(decompose(correlation_matrix(s), s), 0.5)
+        b = truncate(decompose(s), 0.5)
         with pytest.raises(ValueError, match="coefficients"):
             reconstruct(b, s.mean, np.zeros(b.retained + 1))
 
@@ -206,7 +236,7 @@ class TestProjectReconstruct:
         # aggregate reconstruction error equals sqrt(tail energy) for every R
         for seed in (0, 5, 9):
             s = random_set(seed, m=8)
-            b = decompose(correlation_matrix(s), s)
+            b = decompose(s)
             scale = np.sqrt(b.eigenvalues.sum())
             for r in range(0, 9):
                 direct = reconstruction_error(s, b, r)
@@ -225,7 +255,7 @@ class TestRic:
 
     def test_sums_to_100(self):
         s = random_set(6, m=7)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         assert ric(b).sum() == pytest.approx(100.0, abs=1e-8)
 
     def test_all_zero_spectrum_rejected(self):
@@ -238,7 +268,7 @@ class TestRic:
         for re in (1.0, 500.0):
             cfg = BurgersConfig(reynolds=re, nx=201, dx=1.0 / 200)
             s = burgers_snapshots(cfg, 0.3, 0.5, 20)
-            b = decompose(correlation_matrix(s), s)
+            b = decompose(s)
             res[re] = ric(b)[0]
         assert res[1.0] > res[500.0]
 
@@ -287,14 +317,18 @@ class TestPodHorizon:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         s = random_set(8, m=6)
-        b = truncate(decompose(correlation_matrix(s), s), 0.05)
-        save_pod_basis(b, tmp_path)
-        b2 = load_pod_basis(tmp_path)
-        assert b2.retained == b.retained
-        np.testing.assert_array_equal(b2.eigenvalues, b.eigenvalues)
-        np.testing.assert_array_equal(b2.modes, b.modes[: b.retained])
-        np.testing.assert_array_equal(b2.coeffs, b.coeffs[:, : b.retained])
-        assert b2.rrms_tail == b.rrms_tail
+        retained = []
+        for alpha in (0.05, 0.999):  # R = 1 writes single-column files
+            b = truncate(decompose(s), alpha)
+            save_pod_basis(b, tmp_path / str(alpha))
+            b2 = load_pod_basis(tmp_path / str(alpha))
+            assert b2.retained == b.retained
+            np.testing.assert_array_equal(b2.eigenvalues, b.eigenvalues)
+            np.testing.assert_array_equal(b2.modes, b.modes[: b.retained])
+            np.testing.assert_array_equal(b2.coeffs, b.coeffs[:, : b.retained])
+            assert b2.rrms_tail == b.rrms_tail
+            retained.append(b.retained)
+        assert retained[0] > 1 and retained[1] == 1
 
 
 class TestThresholds:
@@ -310,6 +344,6 @@ class TestSpectrumFixture:
     def test_designed_spectrum(self):
         lam = [4.0, 0.25]
         s = spectrum_set(lam)
-        b = decompose(correlation_matrix(s), s)
+        b = decompose(s)
         np.testing.assert_allclose(b.eigenvalues[:2], lam, rtol=1e-9)
         np.testing.assert_allclose(b.eigenvalues[2:], 0.0, atol=1e-12)
