@@ -19,26 +19,27 @@ from mbrom import (
     save_dataset,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="mbrom_demo_"))
-
 snaps, _ = bubble_snapshots(BubbleConfig(nr=50), 51.0, 60.0, 10)
-manifest = save_dataset(snaps, workdir / "bubble")
-print(f"wrote {manifest.parent}/")
-for path in sorted(manifest.parent.iterdir()):
-    print(f"  {path.name:14s} {path.stat().st_size:7d} bytes")
 
-print("\nmanifest.json:")
-print(json.dumps(json.loads(manifest.read_text()), indent=2, sort_keys=True))
+# the files live only as long as this block
+with tempfile.TemporaryDirectory(prefix="mbrom_demo_") as workdir:
+    manifest = save_dataset(snaps, Path(workdir) / "bubble")
+    print(f"wrote {manifest.parent}/")
+    for path in sorted(manifest.parent.iterdir()):
+        print(f"  {path.name:14s} {path.stat().st_size:7d} bytes")
 
-print("\nboundary.csv head:")
-for line in (manifest.parent / "boundary.csv").read_text().splitlines()[:4]:
-    print(f"  {line}")
+    print("\nmanifest.json:")
+    print(json.dumps(json.loads(manifest.read_text()), indent=2, sort_keys=True))
 
-# the round trip is exact: 17 significant digits per value
-again = load_snapshots(manifest)
-assert (again.fields == snaps.fields).all()
-assert again.boundary.names == ["R"]
-print("\nreloaded dataset matches the generated one exactly")
+    print("\nboundary.csv head:")
+    for line in (manifest.parent / "boundary.csv").read_text().splitlines()[:4]:
+        print(f"  {line}")
+
+    # the round trip is exact: 17 significant digits per value
+    again = load_snapshots(manifest)
+    assert (again.fields == snaps.fields).all()
+    assert again.boundary.names == ["R"]
+    print("\nreloaded dataset matches the generated one exactly")
 
 # loaded datasets drive the same pipeline as in-memory ones
 model = build(again)

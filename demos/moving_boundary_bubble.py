@@ -17,6 +17,7 @@ from mbrom import (
     bubble_strain,
     build,
     forecast,
+    relative_error,
 )
 
 cfg = BubbleConfig()
@@ -50,10 +51,10 @@ print(f"corrected nodes: {exposed.size} "
 print(f"max error on them before: {np.abs(uncorrected - truth)[exposed].max():.4f}")
 print(f"max error on them after:  {np.abs(fc.field - truth)[exposed].max():.4f}")
 
-fluid = r >= fc.boundary_values["R"]
-w = snaps.grid.quad_weights
-rel = lambda f: np.sqrt(
-    np.sum((f - truth)[fluid] ** 2 * w[fluid]) / np.sum(truth[fluid] ** 2 * w[fluid])
+# scored over the predicted fluid region, as `mbrom forecast --truth` does
+fluid = fc.fluid_mask
+rel = lambda f: relative_error(
+    np.where(fluid, f, 0.0), np.where(fluid, truth, 0.0), snaps.grid
 )
 print(f"relative L2 error over the fluid region: "
       f"{rel(uncorrected):.4f} -> {rel(fc.field):.4f}")

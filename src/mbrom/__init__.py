@@ -42,7 +42,7 @@ from .gpr import (
     train_many,
     weighted_sigma,
 )
-from .mls import MlsConfig, StencilCache, correct_field, mls_fit, mls_value, wendland_c2
+from .mls import MlsConfig, StencilCache, correct_field, mls_value, wendland_c2
 from .pod import (
     PodBasis,
     PodThresholds,

@@ -283,73 +283,74 @@ def _nearest(
     return idx[:, :k], d2[:, :k]
 
 
-def _cholesky_moments(
-    mm: np.ndarray, terms: list[tuple[int, ...]], min_norm: bool = False
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Cholesky factors of a (T, n, n) stack of moment matrices, and which
-    fits are weak: smallest pivot at most 1e-6 of the largest, or not
-    positive definite.  Unless ``min_norm`` (the caller handles weak fits),
-    a weak fit raises ValueError naming the direction the worst-conditioned
-    fit cannot resolve.  The factors are None when some fit is not positive
-    definite.
-    """
-    try:
-        L = np.linalg.cholesky(mm)
-        d = np.diagonal(L, axis1=1, axis2=2)
-        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
-    except np.linalg.LinAlgError:  # some fit is not positive definite
-        L, weak = None, np.ones(mm.shape[0], dtype=bool)
-    if weak.any() and not min_norm:
-        evals, evecs = np.linalg.eigh(mm)
-        t = np.argmin(evals[:, 0] / evals[:, -1])
-        worst = np.argmax(np.abs(evecs[t, :, 0]))
-        raise ValueError(
-            f"rank-deficient moment matrix: neighbors do not resolve the "
-            f"{_term_name(terms[worst])} direction"
-        )
-    return L, weak
-
-
-def _local_fit(
+def _shape_functions(
     offsets: np.ndarray,
-    values: np.ndarray,
     weights: np.ndarray,
-    terms: list[tuple[int, ...]],
+    counts: np.ndarray,
+    order: int,
     min_norm: bool = False,
 ) -> np.ndarray:
-    """Weighted least-squares polynomial fits around a batch of target nodes.
+    """Shape functions of weighted least-squares polynomial fits over a batch
+    of stencils stored end to end: the one local fit of the fill and the MLS
+    correction.
 
-    ``offsets`` (T, K, dim) are neighbor positions relative to each target,
-    already divided by that target's length scale; ``values`` and
-    ``weights`` are (T, K), and padding slots carry weight 0.  Returns the
-    (T, n) coefficients in the centered, scaled monomial basis; column 0 is
-    each fit's value at its target.  The (T, n, n) moment matrices are solved
-    by Cholesky.  A fit whose smallest pivot is at most 1e-6 of its largest
-    does not resolve every term: with ``min_norm`` it gets the minimum-norm
-    least-squares solution (as ``np.linalg.lstsq`` gives), otherwise
-    ValueError names the direction the worst-conditioned fit cannot resolve.
+    Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
+    relative to its target, divided by its length scale) and of ``weights``.
+    Returns one a_k per row such that sum_k a_k f_k over a stencil is the
+    fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
+    monomials up to ``order`` and M = P^T W P, factored by Cholesky.  A fit
+    whose smallest pivot is at most 1e-6 of its largest, or whose M is not
+    positive definite, does not resolve every term: with ``min_norm`` it gets
+    a = sqrt(w) pinv(sqrt(W) P)[0], the minimum-norm least-squares value (as
+    ``np.linalg.lstsq`` gives); otherwise ValueError names the direction the
+    worst-conditioned fit of its chunk cannot resolve.  Every sum runs over
+    one stencil's rows alone, so a node's shape functions are the same bits
+    whichever batch it is fitted in.
     """
-    T, K, dim = offsets.shape
-    n = len(terms)
-    mm = np.empty((T, n, n))
-    rhs = np.empty((T, n))
-    step = max(1, 4096 // K)  # bounds peak memory: ~4096 design-matrix rows at a time
+    dim = offsets.shape[1]
+    terms = _poly_terms(dim, order)
+    terms2 = _poly_terms(dim, 2 * order)
+    # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
+    index = {e: k for k, e in enumerate(terms2)}
+    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
+    T = counts.size
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    e0 = np.zeros((T, len(terms), 1))
+    e0[:, 0] = 1.0
+    shape = np.empty(starts[-1])
+    step = max(1, 4096 // int(counts.max()))  # ~4096 design-matrix rows at a time
     for a in range(0, T, step):
-        P = _poly_matrix(offsets[a : a + step].reshape(-1, dim), terms).reshape(-1, K, n)
-        Pw = P * weights[a : a + step, :, None]
-        mm[a : a + step] = np.matmul(Pw.transpose(0, 2, 1), P)
-        rhs[a : a + step] = np.einsum("tkn,tk->tn", Pw, values[a : a + step])
-    L, weak = _cholesky_moments(mm, terms, min_norm)
-    coef = np.empty((T, n))
-    if not weak.all():
-        y = np.linalg.solve(L[~weak], rhs[~weak, :, None])
-        coef[~weak] = np.linalg.solve(L[~weak].transpose(0, 2, 1), y)[:, :, 0]
-    if weak.any():
-        sw = np.sqrt(weights[weak])
-        A = _poly_matrix(offsets[weak].reshape(-1, dim), terms).reshape(-1, K, n)
-        b = (sw * values[weak])[:, :, None]
-        coef[weak] = (np.linalg.pinv(A * sw[:, :, None]) @ b)[:, :, 0]
-    return coef
+        b = min(a + step, T)
+        rows = slice(starts[a], starts[b])
+        local = starts[a : b + 1] - starts[a]  # stencil bounds within the chunk
+        Q = _poly_matrix(offsets[rows], terms2)
+        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
+        mm = np.add.reduceat(Q * weights[rows, None], local[:-1])[:, pair]
+        try:
+            L = np.linalg.cholesky(mm)
+            d = np.diagonal(L, axis1=1, axis2=2)
+            weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+        except np.linalg.LinAlgError:  # some fit is not positive definite
+            L, weak = None, np.ones(b - a, dtype=bool)
+        if weak.any() and not min_norm:
+            evals, evecs = np.linalg.eigh(mm)
+            t = np.argmin(evals[:, 0] / evals[:, -1])
+            worst = np.argmax(np.abs(evecs[t, :, 0]))
+            raise ValueError(
+                f"rank-deficient moment matrix: neighbors do not resolve the "
+                f"{_term_name(terms[worst])} direction"
+            )
+        coef = np.zeros((b - a, len(terms)))
+        if not weak.all():
+            Lg = L[~weak]
+            y = np.linalg.solve(Lg, e0[a:b][~weak])
+            coef[~weak] = np.linalg.solve(Lg.transpose(0, 2, 1), y)[:, :, 0]
+        shape[rows] = weights[rows] * np.sum(P * np.repeat(coef, counts[a:b], axis=0), axis=1)
+        for t in np.flatnonzero(weak):
+            k = slice(starts[a + t], starts[a + t + 1])
+            sw = np.sqrt(weights[k])
+            shape[k] = sw * np.linalg.pinv(P[local[t] : local[t + 1]] * sw[:, None])[0]
+    return shape
 
 
 def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, order: int) -> np.ndarray:
@@ -366,62 +367,46 @@ def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, or
     if occ.size == 0:
         return out
     flu = np.flatnonzero(fluid)
-    terms = _poly_terms(grid.dim, order)
-    if flu.size < len(terms):
+    n_terms = len(_poly_terms(grid.dim, order))
+    if flu.size < n_terms:
         raise ValueError(
             f"occluded node with only {flu.size} fluid neighbors, "
-            f"need at least {len(terms)} for order {order}"
+            f"need at least {n_terms} for order {order}"
         )
     pts = grid.coords[flu]
     targets = grid.coords[occ]
-    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * len(terms))
+    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * n_terms)
     centered = pts[sel] - targets[:, None, :]
     scale = np.max(np.abs(centered), axis=(1, 2))
     scale[scale == 0] = 1.0
-    coef = _local_fit(
-        centered / scale[:, None, None],
-        values[flu[sel]],
-        np.ones(sel.shape),
-        terms,
+    T, k = sel.shape
+    shape = _shape_functions(
+        (centered / scale[:, None, None]).reshape(-1, grid.dim),
+        np.ones(sel.size),
+        np.full(T, k),
+        order,
         min_norm=True,
     )
-    out[occ] = coef[:, 0]
+    out[occ] = np.add.reduceat(shape * values[flu[sel]].ravel(), np.arange(0, sel.size, k))
     return out
 
 
-def fill_occluded(
-    s: SnapshotSet,
-    strategy: str = "ls_extrapolation",
-    order: int = 0,
-    body_values: np.ndarray | float | None = None,
-) -> SnapshotSet:
+def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
     """Assign values to occluded nodes so POD can run on the full domain.
 
-    ``ls_extrapolation`` fits a least-squares polynomial of the given order
-    over the k = 3 x terms nearest fluid nodes of each snapshot (equal
-    distances in order of node index) and evaluates it at the occluded
-    node.  ``rigid_motion`` stamps the body's own value (per snapshot, from
-    ``body_values``) onto the occluded nodes.  Masks are kept
-    so later stages still know which nodes carried real data.
+    Each snapshot's occluded nodes get a least-squares polynomial of the
+    given order, fitted over the k = 3 x terms nearest fluid nodes of that
+    snapshot (equal distances in order of node index) and evaluated at the
+    occluded node.  Masks are kept so later stages still know which nodes
+    carried real data.
     """
-    if strategy not in ("ls_extrapolation", "rigid_motion"):
-        raise ValueError(f"unknown fill strategy {strategy!r}")
     if s.all_fluid():
         return s
-    M = s.n_snapshots
+    if order < 0:
+        raise ValueError("polynomial order must be >= 0")
     filled = s.fields.copy()
-    if strategy == "rigid_motion":
-        if body_values is None:
-            raise ValueError("rigid_motion fill needs body_values (per-snapshot)")
-        bv = np.broadcast_to(np.asarray(body_values, dtype=float).ravel(), (M,)) \
-            if np.ndim(body_values) else np.full(M, float(body_values))
-        for i in range(M):
-            filled[i, ~s.masks[i].fluid] = bv[i]
-    else:
-        if order < 0:
-            raise ValueError("polynomial order must be >= 0")
-        for i in range(M):
-            filled[i] = _ls_extrapolate(s.grid, s.fields[i], s.masks[i].fluid, order)
+    for i in range(s.n_snapshots):
+        filled[i] = _ls_extrapolate(s.grid, s.fields[i], s.masks[i].fluid, order)
     return SnapshotSet(
         grid=s.grid,
         times=s.times,

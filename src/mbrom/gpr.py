@@ -159,7 +159,6 @@ class GprModel:
         t_mean: float = 0.0,
         t_scale: float = 1.0,
         y_scale: float = 1.0,
-        used_fallback: bool = False,
     ):
         if noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
@@ -173,7 +172,6 @@ class GprModel:
         self.t_scale = float(t_scale)
         self.y_scale = float(y_scale)
         self.y_mean = float(self.train_y.mean())
-        self.used_fallback = used_fallback
 
         self._ts = (self.train_t - self.t_mean) / self.t_scale
         self._ys = (self.train_y - self.y_mean) / self.y_scale
@@ -491,7 +489,6 @@ def save_gpr_model(m: GprModel, path: str | Path) -> None:
         "y_scale": m.y_scale,
         "train_t": m.train_t.tolist(),
         "train_y": m.train_y.tolist(),
-        "used_fallback": m.used_fallback,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -509,5 +506,4 @@ def load_gpr_model(path: str | Path) -> GprModel:
         t_mean=p["t_mean"],
         t_scale=p["t_scale"],
         y_scale=p["y_scale"],
-        used_fallback=p.get("used_fallback", False),
     )

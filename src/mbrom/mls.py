@@ -2,11 +2,11 @@
 
 A locally weighted polynomial is fitted over trusted neighbor nodes and
 evaluated at a target node.  The basis is centered at the target and scaled
-by the support radius, so the moment matrix stays well conditioned and the
-fitted value is simply the first coefficient.
+by the support radius, so the moment matrix stays well conditioned.
 
-The correction uses the fit in its shape-function form.  The value at node
-j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
+The fit is used in its shape-function form, through the one local-fit
+kernel that the occluded fill shares (``data._shape_functions``).  The value
+at node j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
 stencil (the trusted nodes strictly inside its radius h_j) and
 a_j = W P M^-1 e_0 are its shape functions.  S_j, h_j and a_j depend on the
 grid, the configuration and the trusted set, not on the field or the query
@@ -22,9 +22,9 @@ The Lebesgue constant Lambda_j = sum |a_j| bounds how much the fit can
 amplify errors in the trusted values.  It is reported per corrected node
 (``CorrectionReport.lebesgue``, the ``lebesgue`` column of
 ``correction_report.csv``), and a correction with any Lambda_j above
-``LEBESGUE_WARN`` = 1e3 warns once.  The shape-function form and the direct
-coefficient fit agree to rounding, within 1e-12 Lambda_j max|f| at each
-node.
+``LEBESGUE_WARN`` = 1e3 warns once.  A direct solve for the fit's
+coefficients agrees with a_j . f[S_j] to rounding, within
+1e-12 Lambda_j max|f| at each node.
 """
 
 from __future__ import annotations
@@ -39,22 +39,12 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .data import (
-    FMT,
-    SpatialGrid,
-    _balls,
-    _cholesky_moments,
-    _local_fit,
-    _nearest,
-    _poly_matrix,
-    _poly_terms,
-)
+from .data import FMT, SpatialGrid, _balls, _nearest, _poly_terms, _shape_functions
 
 __all__ = [
     "MlsConfig",
     "CorrectionReport",
     "wendland_c2",
-    "mls_fit",
     "mls_value",
     "correct_field",
     "StencilCache",
@@ -115,18 +105,18 @@ class MlsConfig:
         return int(np.ceil(self.min_neighbor_factor * self.n_terms(dim)))
 
 
-def mls_fit(
+def mls_value(
     xp: np.ndarray,
     points: np.ndarray,
     values: np.ndarray,
     cfg: MlsConfig,
     h: float | None = None,
-) -> np.ndarray:
-    """Weighted least-squares polynomial coefficients around ``xp``.
+) -> float:
+    """Fitted field value at ``xp`` from the neighbors ``points``.
 
     Neighbors must lie within the support radius ``h`` (``cfg.kernel_len``
-    when not given).  Returns the coefficient vector in the centered,
-    h-scaled monomial basis; its first entry is the fitted value at ``xp``.
+    when not given).  The value is a . values, with a the shape functions of
+    the weighted fit over this one stencil.
     """
     xp = np.atleast_1d(np.asarray(xp, dtype=float)).ravel()
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -137,29 +127,18 @@ def mls_fit(
     h = cfg.kernel_len if h is None else h
     if h is None or h <= 0:
         raise ValueError("a positive support radius is required")
-    terms = _poly_terms(dim, cfg.order)
     need = cfg.required_neighbors(dim)
     if points.shape[0] < need:
         raise ValueError(
             f"{points.shape[0]} neighbors, need at least {need} "
-            f"({cfg.min_neighbor_factor} x {len(terms)} terms)"
+            f"({cfg.min_neighbor_factor} x {cfg.n_terms(dim)} terms)"
         )
     d = np.sqrt(np.sum((points - xp) ** 2, axis=1))
     if np.any(d >= h):
         raise ValueError("neighbor outside the support radius")
     w = np.asarray(cfg.weight(d / h), dtype=float)
-    return _local_fit(((points - xp) / h)[None], values[None], w[None], terms)[0]
-
-
-def mls_value(
-    xp: np.ndarray,
-    points: np.ndarray,
-    values: np.ndarray,
-    cfg: MlsConfig,
-    h: float | None = None,
-) -> float:
-    """Fitted field value at ``xp`` (first coefficient of the centered fit)."""
-    return float(mls_fit(xp, points, values, cfg, h)[0])
+    shape = _shape_functions((points - xp) / h, w, np.array([points.shape[0]]), cfg.order)
+    return float(np.sum(shape * values))
 
 
 @dataclass
@@ -185,46 +164,6 @@ class CorrectionReport:
                 self.rows, self.lebesgue, fillvalue=float("nan")
             ):
                 writer.writerow([node, FMT % h, FMT % before, FMT % after, FMT % lam])
-
-
-def _shape_functions(
-    offsets: np.ndarray, weights: np.ndarray, counts: np.ndarray, order: int
-) -> np.ndarray:
-    """MLS shape functions of a batch of stencils stored end to end.
-
-    Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
-    relative to its target, divided by its radius) and of ``weights``.
-    Returns one a_k per row such that sum_k a_k f_k over a stencil is the
-    fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
-    monomials up to ``order`` and M = P^T W P.  M is factored by Cholesky
-    under the pivot test of ``_local_fit``, and a fit that does not resolve
-    every term raises ValueError.  Every sum runs over one stencil's
-    rows alone, so a node's shape functions are the same bits whichever batch
-    it is fitted in.
-    """
-    dim = offsets.shape[1]
-    terms = _poly_terms(dim, order)
-    terms2 = _poly_terms(dim, 2 * order)
-    # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
-    index = {e: k for k, e in enumerate(terms2)}
-    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
-    T = counts.size
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    e0 = np.zeros((T, len(terms), 1))
-    e0[:, 0] = 1.0
-    shape = np.empty(starts[-1])
-    step = max(1, 4096 // int(counts.max()))  # ~4096 design-matrix rows at a time
-    for a in range(0, T, step):
-        b = min(a + step, T)
-        rows = slice(starts[a], starts[b])
-        Q = _poly_matrix(offsets[rows], terms2)
-        moments = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])
-        L, _ = _cholesky_moments(moments[:, pair], terms)
-        coef = np.linalg.solve(L.transpose(0, 2, 1), np.linalg.solve(L, e0[a:b]))
-        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
-        coef = np.repeat(coef[:, :, 0], counts[a:b], axis=0)
-        shape[rows] = weights[rows] * np.sum(P * coef, axis=1)
-    return shape
 
 
 class StencilCache:

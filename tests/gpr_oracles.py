@@ -97,7 +97,7 @@ def train(t: np.ndarray, y: np.ndarray, seed: int = 0, n_starts: int = 15) -> Gp
         kernel = Kernel(1.0, float(np.exp(ltl0)))
         return GprModel(
             kernel, 1e-4, t, y,
-            t_mean=t_mean, t_scale=t_scale, y_scale=y_scale, used_fallback=True,
+            t_mean=t_mean, t_scale=t_scale, y_scale=y_scale,
         )
 
     ltf, ltl, lsig = best.x

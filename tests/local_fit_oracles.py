@@ -2,16 +2,87 @@
 correction: one brute-force neighbor scan and one dense solve per node.
 
 The library batches both steps over a k-d tree; these loops are the plain
-definition they are checked against.  ``batched_correct_oracle`` is the
-correction as a batch of coefficient fits, the reference for the cached
-shape-function form to within rounding.
+definition they are checked against.  ``_local_fit`` is the batched
+coefficient fit the library used before its one shape-function kernel:
+``batched_fill_oracle`` and ``batched_correct_oracle`` are the fill and the
+correction on it, the references for the shape-function form to within
+rounding.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
-from mbrom.data import _balls, _local_fit, _nearest, _poly_terms
+from mbrom.data import _balls, _nearest, _poly_matrix, _poly_terms, _term_name
+
+
+def _cholesky_moments(
+    mm: np.ndarray, terms: list[tuple[int, ...]], min_norm: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Cholesky factors of a (T, n, n) stack of moment matrices, and which
+    fits are weak: smallest pivot at most 1e-6 of the largest, or not
+    positive definite.  Unless ``min_norm`` (the caller handles weak fits),
+    a weak fit raises ValueError naming the direction the worst-conditioned
+    fit cannot resolve.  The factors are None when some fit is not positive
+    definite.
+    """
+    try:
+        L = np.linalg.cholesky(mm)
+        d = np.diagonal(L, axis1=1, axis2=2)
+        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+    except np.linalg.LinAlgError:  # some fit is not positive definite
+        L, weak = None, np.ones(mm.shape[0], dtype=bool)
+    if weak.any() and not min_norm:
+        evals, evecs = np.linalg.eigh(mm)
+        t = np.argmin(evals[:, 0] / evals[:, -1])
+        worst = np.argmax(np.abs(evecs[t, :, 0]))
+        raise ValueError(
+            f"rank-deficient moment matrix: neighbors do not resolve the "
+            f"{_term_name(terms[worst])} direction"
+        )
+    return L, weak
+
+
+def _local_fit(
+    offsets: np.ndarray,
+    values: np.ndarray,
+    weights: np.ndarray,
+    terms: list[tuple[int, ...]],
+    min_norm: bool = False,
+) -> np.ndarray:
+    """Weighted least-squares polynomial fits around a batch of target nodes.
+
+    ``offsets`` (T, K, dim) are neighbor positions relative to each target,
+    already divided by that target's length scale; ``values`` and
+    ``weights`` are (T, K), and padding slots carry weight 0.  Returns the
+    (T, n) coefficients in the centered, scaled monomial basis; column 0 is
+    each fit's value at its target.  The (T, n, n) moment matrices are solved
+    by Cholesky.  A fit whose smallest pivot is at most 1e-6 of its largest
+    does not resolve every term: with ``min_norm`` it gets the minimum-norm
+    least-squares solution (as ``np.linalg.lstsq`` gives), otherwise
+    ValueError names the direction the worst-conditioned fit cannot resolve.
+    """
+    T, K, dim = offsets.shape
+    n = len(terms)
+    mm = np.empty((T, n, n))
+    rhs = np.empty((T, n))
+    step = max(1, 4096 // K)  # bounds peak memory: ~4096 design-matrix rows at a time
+    for a in range(0, T, step):
+        P = _poly_matrix(offsets[a : a + step].reshape(-1, dim), terms).reshape(-1, K, n)
+        Pw = P * weights[a : a + step, :, None]
+        mm[a : a + step] = np.matmul(Pw.transpose(0, 2, 1), P)
+        rhs[a : a + step] = np.einsum("tkn,tk->tn", Pw, values[a : a + step])
+    L, weak = _cholesky_moments(mm, terms, min_norm)
+    coef = np.empty((T, n))
+    if not weak.all():
+        y = np.linalg.solve(L[~weak], rhs[~weak, :, None])
+        coef[~weak] = np.linalg.solve(L[~weak].transpose(0, 2, 1), y)[:, :, 0]
+    if weak.any():
+        sw = np.sqrt(weights[weak])
+        A = _poly_matrix(offsets[weak].reshape(-1, dim), terms).reshape(-1, K, n)
+        b = (sw * values[weak])[:, :, None]
+        coef[weak] = (np.linalg.pinv(A * sw[:, :, None]) @ b)[:, :, 0]
+    return coef
 
 
 def _monomials(pts, terms):
@@ -34,6 +105,33 @@ def fill_oracle(coords, values, fluid, order):
         A = _monomials(centered / scale, terms)
         c, *_ = np.linalg.lstsq(A, values[sel], rcond=None)
         out[j] = c[0]
+    return out
+
+
+def batched_fill_oracle(grid, values, fluid, order):
+    """The fill as one batch of coefficient fits over the k = 3 x terms
+    nearest fluid nodes (the library's form before shape functions): each
+    value is the first coefficient, minimum-norm where a fit is weak."""
+    out = np.array(values, dtype=float)
+    occ = np.flatnonzero(~fluid)
+    if occ.size == 0:
+        return out
+    flu = np.flatnonzero(fluid)
+    terms = _poly_terms(grid.dim, order)
+    pts = grid.coords[flu]
+    targets = grid.coords[occ]
+    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * len(terms))
+    centered = pts[sel] - targets[:, None, :]
+    scale = np.max(np.abs(centered), axis=(1, 2))
+    scale[scale == 0] = 1.0
+    coef = _local_fit(
+        centered / scale[:, None, None],
+        out[flu[sel]],
+        np.ones(sel.shape),
+        terms,
+        min_norm=True,
+    )
+    out[occ] = coef[:, 0]
     return out
 
 

@@ -137,7 +137,7 @@ def test_criterion_2_burgers_forecast_accuracy(burgers_sets):
 
 def test_criterion_3_pod_identities(burgers_sets, bubble_run):
     datasets = [burgers_sets[100.0][1], burgers_sets[500.0][1]]
-    datasets.append(fill_occluded(bubble_run[1], "ls_extrapolation", order=0))
+    datasets.append(fill_occluded(bubble_run[1], order=0))
     worst_orth = worst_trace = worst_recon = 0.0
     for s in datasets:
         b = decompose(s)

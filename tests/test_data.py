@@ -213,7 +213,7 @@ class TestFillOccluded:
         fluid = np.ones(21, bool)
         fluid[:5] = False
         s, x = self.occluded_set(lambda x: 2.0 * x + 1.0, fluid)
-        out = fill_occluded(s, "ls_extrapolation", order=1)
+        out = fill_occluded(s, order=1)
         np.testing.assert_allclose(out.fields[0], 2.0 * x + 1.0, atol=1e-12)
 
     def test_all_fluid_noop(self):
@@ -226,7 +226,7 @@ class TestFillOccluded:
         fluid[8:12] = False
         for order in (0, 1, 2, 3):
             s, _ = self.occluded_set(lambda x: np.full_like(x, 4.5), fluid)
-            out = fill_occluded(s, "ls_extrapolation", order=order)
+            out = fill_occluded(s, order=order)
             np.testing.assert_allclose(out.fields[0], 4.5, atol=1e-9)
 
     def test_polynomial_reproduction(self):
@@ -238,37 +238,22 @@ class TestFillOccluded:
             s, x = self.occluded_set(
                 lambda x: sum(c * x**k for k, c in enumerate(coef)), fluid
             )
-            out = fill_occluded(s, "ls_extrapolation", order=p)
+            out = fill_occluded(s, order=p)
             truth = sum(c * x**k for k, c in enumerate(coef))
             np.testing.assert_allclose(out.fields[0][:4], truth[:4], atol=1e-9)
-
-    def test_rigid_motion(self):
-        fluid = np.ones(21, bool)
-        fluid[:3] = False
-        s, _ = self.occluded_set(lambda x: x, fluid)
-        out = fill_occluded(s, "rigid_motion", body_values=[7.0, 8.0])
-        assert np.all(out.fields[0][:3] == 7.0)
-        assert np.all(out.fields[1][:3] == 8.0)
-
-    def test_rigid_motion_needs_values(self):
-        fluid = np.ones(21, bool)
-        fluid[:3] = False
-        s, _ = self.occluded_set(lambda x: x, fluid)
-        with pytest.raises(ValueError, match="body_values"):
-            fill_occluded(s, "rigid_motion")
 
     def test_no_fluid_neighbors(self):
         fluid = np.zeros(21, bool)
         fluid[0] = True
         s, _ = self.occluded_set(lambda x: x, fluid)
         with pytest.raises(ValueError, match="fluid neighbors"):
-            fill_occluded(s, "ls_extrapolation", order=2)
+            fill_occluded(s, order=2)
 
     def test_masks_kept(self):
         fluid = np.ones(21, bool)
         fluid[:5] = False
         s, _ = self.occluded_set(lambda x: x, fluid)
-        out = fill_occluded(s, "ls_extrapolation", order=1)
+        out = fill_occluded(s, order=1)
         np.testing.assert_array_equal(out.masks[0].fluid, fluid)
 
     def test_polynomial_reproduction_2d(self):
@@ -281,7 +266,7 @@ class TestFillOccluded:
         fluid = ~((coords[:, 0] < 0.3) & (coords[:, 1] < 0.3))
         u = np.array([np.where(fluid, p, 0.0), np.where(fluid, p + 2.0, 0.0)])
         s = SnapshotSet(g, [0.0, 1.0], u, masks=[DomainMask(fluid)] * 2)
-        out = fill_occluded(s, "ls_extrapolation", order=2)
+        out = fill_occluded(s, order=2)
         np.testing.assert_allclose(out.fields[0], p, atol=1e-9)
 
 

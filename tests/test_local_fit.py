@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from local_fit_oracles import batched_correct_oracle, correct_oracle, fill_oracle
+from local_fit_oracles import (
+    batched_correct_oracle,
+    batched_fill_oracle,
+    correct_oracle,
+    fill_oracle,
+)
 from mbrom.data import SpatialGrid, _ls_extrapolate
 from mbrom.mls import MlsConfig, StencilCache, correct_field
 
@@ -58,6 +63,21 @@ class TestFillOracle:
         out = _ls_extrapolate(grid, values, fluid, order)
         ref = fill_oracle(grid.coords, values, fluid, order)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(values).max())
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12),
+           p_occ=st.floats(0.05, 0.6))
+    def test_order_0_matches_coefficient_fill(self, seed, n, p_occ):
+        # an order-0 fill is a mean of k values, as shape functions or as
+        # the first coefficient; the two differ by rounding alone
+        grid, rng = scatter(seed, n)
+        fluid = rng.random(n * n) >= p_occ
+        fluid[rng.integers(n * n)] = False
+        fluid[:3] = True
+        values = np.where(fluid, rng.standard_normal(n * n), 0.0)
+        out = _ls_extrapolate(grid, values, fluid, 0)
+        ref = batched_fill_oracle(grid, values, fluid, 0)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15 * np.abs(values).max())
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 12),

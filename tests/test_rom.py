@@ -1,7 +1,10 @@
 """End-to-end ROM construction, forecasting and adaptive-loop tests."""
 
 import dataclasses
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +204,45 @@ class TestForecastMovingBoundary:
         forecast(m, 64.0, force=True)
         gps = m.mode_models + m.boundary_models
         assert sorted(seen) == sorted(map(id, gps))
+
+
+def perfbench_disk2d():
+    """The benchmark's closed-form 2D pulsating disk module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "disk2d.py"
+    spec = importlib.util.spec_from_file_location("perfbench_disk2d", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDiskEndToEnd:
+    """Fill, POD, GPs and the MLS correction on a 2D moving boundary, against
+    the disk's closed-form field (N = 1600)."""
+
+    def test_forecast_and_correction(self):
+        disk2d = perfbench_disk2d()
+        cfg = disk2d.DiskConfig(n_side=40)
+        s = disk2d.disk_snapshots(cfg, 51.0, 60.0, 10)
+        r = disk2d.node_radius(s.grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = build(s)
+        for t in (61.0, 62.5, 64.0, 65.0):
+            fc = forecast(m, t, force=True)
+            fluid = fc.fluid_mask
+            truth = np.where(fluid, disk2d.disk_field(r, t, cfg), 0.0)
+            assert relative_error(np.where(fluid, fc.field, 0.0), truth, s.grid) <= 0.1
+            # every newly exposed node is corrected, and nothing else
+            nodes = fc.corrected_nodes
+            assert nodes.size > 0 and not fc.correction_report.uncorrected
+            np.testing.assert_array_equal(
+                np.sort(nodes), np.flatnonzero(fluid & ~m.window_all_fluid)
+            )
+            uncorrected = fc.field.copy()
+            for node, _, before, _ in fc.correction_report.rows:
+                uncorrected[node] = before
+            after = np.abs(fc.field - truth)[nodes].max()
+            assert after < np.abs(uncorrected - truth)[nodes].max()
 
 
 def closing_wall(grid, gamma):
