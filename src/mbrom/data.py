@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import warnings
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -426,6 +427,17 @@ def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
 
 
 def _read_matrix(path: Path) -> np.ndarray:
+    """Float matrix from a headerless CSV: numpy's parser first, and the
+    row-wise parser, which names the offending row, when that fails or the
+    matrix is empty or not finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file is reported below
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        if mat.size and np.isfinite(mat).all():
+            return mat
+    except ValueError:
+        pass
     with open(path, newline="") as fh:
         return _parse_matrix(path, enumerate(csv.reader(fh), start=1))
 

@@ -14,16 +14,17 @@ sigma^2 I then has eigenvalues c_i = theta_f^2 (e_i + JITTER0) + sigma^2 in
 the same basis, so with z = Q^T y the NLML is
 sum_i (z_i^2 / c_i + log c_i) / 2 + (M/2) log 2 pi, exact and O(M) for every
 output and every (theta_f, sigma) (Rasmussen & Williams, GPML 2006, 5.4).
-The search:
+At a fixed ratio r = sigma^2 / theta_f^2 the best theta_f^2 is q(r)/M,
+q(r) = sum z_i^2 / (e_i + JITTER0 + r), clipped to the bounds, so theta_f is
+profiled out exactly.  The search:
 
-1. One ``eigh`` per point of a log theta_l grid spanning ``LOG_BOUNDS[1]``
-   scores a (theta_f, sigma) grid for all outputs: sigma^2 / theta_f^2 on a
-   fine grid, theta_f at its closed-form optimum on each such ray (clipped
-   to the bounds).  Only the per-length-scale arrays are held at once.
+1. A log theta_l grid spanning ``LOG_BOUNDS[1]`` (stacked ``eigh`` over
+   blocks of length scales) scores a fine log r grid for all outputs.
 2. Each output is refined from the two lowest local minima of its
-   length-scale profile: a bounded scalar search in log theta_l, and at each
-   of its steps an L-BFGS-B over (log theta_f, log sigma) with the exact
-   eigenbasis gradient, started from the best point on the rays.
+   length-scale profile, all (output, seed) pairs in lockstep: a
+   golden-section search in log theta_l with one stacked ``eigh`` per step,
+   and at each point a safeguarded Newton search in log r on the exact
+   derivatives, warm-started from the previous ratio.  No scipy optimizer.
 3. Tie rule: where the fitted kernel's largest off-diagonal on the training
    times is at most JITTER0, K = I there and only
    theta_f^2 (1 + JITTER0) + sigma^2 is identified.  The ridge goes to the
@@ -42,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize, minimize_scalar
 
 __all__ = [
     "Kernel",
@@ -197,10 +197,14 @@ class GprModel:
     def predict(self, t_query) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the query times."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float)).ravel()
+        if not np.isfinite(tq).all():
+            raise ValueError(f"query time {tq[~np.isfinite(tq)][0]} is not finite")
         ts = (tq - self.t_mean) / self.t_scale
         ks = kernel_matrix(self.kernel, ts, self._ts)
         mu = ks @ self.alpha
-        v = solve_triangular(self.factor, ks.T, lower=True)
+        # the factor is finite by construction and the kernel block by the
+        # check above, so scipy's own scan of both is skipped
+        v = solve_triangular(self.factor, ks.T, lower=True, check_finite=False)
         var = self.kernel.theta_f**2 - np.sum(v * v, axis=0)
         var = np.clip(var, 0.0, None)
         return mu * self.y_scale + self.y_mean, np.sqrt(var) * self.y_scale
@@ -209,73 +213,121 @@ class GprModel:
 _LOG2PI = float(np.log(2.0 * np.pi))
 _TL_STEP = 0.1  # log theta_l grid step
 _RATIO_STEP = 0.1  # log (sigma^2 / theta_f^2) grid step
-_BRENT_XTOL = 1e-5  # log theta_l tolerance of the refine
+_LOG_R = np.arange(  # every log ratio LOG_BOUNDS allows
+    2 * (LOG_BOUNDS[2][0] - LOG_BOUNDS[0][1]),
+    2 * (LOG_BOUNDS[2][1] - LOG_BOUNDS[0][0]) + 1e-9, _RATIO_STEP,
+)
+_GRID_FLOATS = 1 << 16  # floats per block of the length-scale grid
+_TL_TOL = 1e-5  # log theta_l bracket width at which the refine stops
+_NLML_TOL = 1e-10  # NLML left to gain at which a ratio search stops
+_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
-def _spectrum(
-    d2: np.ndarray, log_tl: float, ys: np.ndarray
+def _spectra(
+    d2: np.ndarray, log_tl: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the unit-amplitude kernel exp(-theta_l^2 d^2 / 2) plus
-    JITTER0, and the squared coordinates of ``ys`` in its eigenbasis."""
-    e, Q = np.linalg.eigh(np.exp(-0.5 * np.exp(2.0 * log_tl) * d2))
-    return e + JITTER0, (Q.T @ ys) ** 2
+    """Eigenvalues plus JITTER0 of the unit kernels exp(-theta_l^2 d^2 / 2),
+    one row per length scale from one stacked ``eigh``, and the squared
+    coordinates of ``ys`` in each eigenbasis."""
+    e, Q = np.linalg.eigh(np.exp(-0.5 * np.exp(2.0 * log_tl)[:, None, None] * d2))
+    return e + JITTER0, (Q.transpose(0, 2, 1) @ ys) ** 2
 
 
-def _ray_scores(s: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, ...]:
-    """NLML on the noise-ratio grid with theta_f profiled out.
-
-    ``s`` holds the kernel eigenvalues plus JITTER0 and ``z2`` the squared
-    eigenbasis coordinates of the standardized outputs (one column each).
-    Along a ray sigma^2 = r theta_f^2 the NLML is unimodal in theta_f^2
-    with minimum q(r)/M, q(r) = sum z2 / (s + r); clipping that into the
-    ray's part of ``LOG_BOUNDS`` gives the exact constrained minimum on the
-    ray.  Returns the values and (log theta_f, log sigma), each (ratios, P).
-    """
+def _log_tf2_bounds(log_r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bounds of log theta_f^2 on the ray sigma^2 = r theta_f^2 inside
+    ``LOG_BOUNDS``, and their slopes in log r (-1 where sigma's binds)."""
     (a_lo, a_hi), _, (b_lo, b_hi) = LOG_BOUNDS
-    log_r = np.arange(2 * (b_lo - a_hi), 2 * (b_hi - a_lo) + 1e-9, _RATIO_STEP)
-    M = s.shape[0]
-    inv = 1.0 / (s[None, :] + np.exp(log_r)[:, None])
-    q = inv @ z2
-    lo = np.maximum(2 * a_lo, 2 * b_lo - log_r)[:, None]
-    hi = np.minimum(2 * a_hi, 2 * b_hi - log_r)[:, None]
-    tf2 = np.clip(q / M, np.exp(lo), np.exp(hi))
-    log_tf2 = np.log(tf2)
-    logdet = -np.log(inv).sum(axis=1)[:, None]
-    val = 0.5 * (q / tf2 + M * log_tf2 + logdet + M * _LOG2PI)
-    return val, 0.5 * log_tf2, 0.5 * (log_tf2 + log_r[:, None])
+    lo, hi = 2 * b_lo - log_r, 2 * b_hi - log_r
+    return (np.maximum(2 * a_lo, lo), np.minimum(2 * a_hi, hi),
+            -1.0 * (lo > 2 * a_lo), -1.0 * (hi < 2 * a_hi))
 
 
-def _eig_nlml(p: np.ndarray, s: np.ndarray, z2: np.ndarray) -> tuple[float, np.ndarray]:
-    """NLML of one output and its gradient in (log theta_f, log sigma).
+_RAYS = tuple(np.exp(v) for v in (_LOG_R, *_log_tf2_bounds(_LOG_R)[:2]))
 
-    In the kernel's eigenbasis C has eigenvalues c = theta_f^2 s + sigma^2,
-    so value and gradient are sums over M terms with no solve.
+
+def _ray_scores(s: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Profiled NLML at every ratio of ``_LOG_R``, (length scales, outputs,
+    ratios), from eigenvalues ``s`` and squared coordinates ``z2``
+    (length scales, times, outputs).  Products of 16 factors s + r, each in
+    [JITTER0, e^16 + M], stay inside the double range, so the log
+    determinant takes one log per 16."""
+    M = s.shape[1]
+    c = s[:, :, None] + _RAYS[0]
+    logdet = sum(np.log(c[:, i:i + 16].prod(axis=1)) for i in range(0, M, 16))
+    q = z2.transpose(0, 2, 1) @ np.reciprocal(c, out=c)
+    tf2 = np.clip(q / M, _RAYS[1], _RAYS[2])
+    return 0.5 * (q / tf2 + M * np.log(tf2) + logdet[:, None, :] + M * _LOG2PI)
+
+
+def _profile(
+    s: np.ndarray, z2: np.ndarray, log_r: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Profiled NLML of each row (one output at one length scale) at its log
+    ratio, its first two derivatives there, and log theta_f^2.
+
+    With r = exp(log_r) and u = r / (s + r), q = sum z2 / (s + r) has
+    log-ratio derivatives -sum z2 u^2 / r and sum z2 (2u^3 - u^2) / r, and
+    L = sum log(s + r) has sum u and sum u - u^2.  The NLML at
+    theta_f^2 = exp(g) is (q exp(-g) + M g + L + M log 2 pi) / 2, with
+    g = log(q / M) clipped to ``_log_tf2_bounds``.
     """
-    u, v = np.exp(2.0 * p)
-    c = u * s + v
-    w = 1.0 / c - z2 / (c * c)
-    value = 0.5 * float(np.sum(z2 / c + np.log(c)) + s.shape[0] * _LOG2PI)
-    return value, np.array([u * float(w @ s), v * float(w.sum())])
+    M = s.shape[1]
+    r = np.exp(log_r)[:, None]
+    u = r / (s + r)
+    zu = z2 * u
+    a1, a2, a3 = zu.sum(axis=1), (zu * u).sum(axis=1), (zu * u * u).sum(axis=1)
+    l1 = u.sum(axis=1)
+    l2 = l1 - (u * u).sum(axis=1)
+    data = a1 > 0  # a zero output has no data term
+    h1 = np.divide(-a2, a1, out=np.zeros_like(a1), where=data)  # q'/q
+    h2 = np.divide(2.0 * a3 - a2, a1, out=np.zeros_like(a1), where=data)  # q''/q
+    g_free = np.log(a1 / M, out=np.full_like(a1, -np.inf), where=data) - log_r
+    lo, hi, lo_slope, hi_slope = _log_tf2_bounds(log_r)
+    g = np.minimum(np.maximum(g_free, lo), hi)
+    g1 = np.where(g_free < lo, lo_slope, np.where(g_free > hi, hi_slope, h1))
+    g2 = np.where(g == g_free, h2 - h1 * h1, 0.0)
+    fit = M * np.exp(g_free - g)  # q exp(-g)
+    value = 0.5 * (fit + M * (g + log_r + _LOG2PI) - np.log(u).sum(axis=1))
+    d1 = 0.5 * (fit * (h1 - g1) + M * g1 + l1)
+    d2 = 0.5 * (fit * (h2 - 2.0 * h1 * g1 + g1 * g1 - g2) + M * g2 + l2)
+    return value, d1, d2, g
 
 
-def _fit_at(
-    d2: np.ndarray, ys: np.ndarray, log_tl: float
-) -> tuple[float, float, float]:
-    """Best (NLML, log theta_f, log sigma) of one output at one length scale:
-    the best point of the noise-ratio rays, polished by L-BFGS-B."""
-    s, z2 = _spectrum(d2, log_tl, ys)
-    val, la, lb = _ray_scores(s, z2[:, None])
-    j = int(np.argmin(val[:, 0]))
-    res = minimize(
-        _eig_nlml,
-        np.array([la[j, 0], lb[j, 0]]),
-        args=(s, z2),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=(LOG_BOUNDS[0], LOG_BOUNDS[2]),
-        options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-10},
-    )
-    return float(res.fun), float(res.x[0]), float(res.x[1])
+def _ratio_search(
+    d2: np.ndarray, ys: np.ndarray, log_tl: np.ndarray, log_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local minimum in log ratio of the profiled NLML of each output row of
+    ``ys`` at its length scale, from ``log_r``, all rows in lockstep: the
+    value, the log ratio and log theta_f^2 there.
+
+    Each slope sign narrows a bracket.  Until it has two ends a step is
+    Newton's, at most a reach that starts at ``_RATIO_STEP`` and doubles
+    each step (all of it without positive curvature); then it is Newton's
+    inside the bracket, or the midpoint.  A row stops once the NLML left to
+    gain, Newton's estimate or |slope| x bracket, is at most ``_NLML_TOL``.
+    """
+    s, z2 = _spectra(d2, log_tl, ys[:, :, None])
+    z2 = z2[:, :, 0]
+    lo = np.full_like(log_r, _LOG_R[0] - 1.0)  # no end found yet
+    hi = np.full_like(log_r, _LOG_R[-1] + 1.0)
+    reach = np.full_like(log_r, _RATIO_STEP)
+    done = np.zeros(log_r.shape, dtype=bool)
+    for _ in range(100):  # 60 bisections narrow any bracket to rounding
+        value, slope, curv, g = _profile(s, z2, log_r)
+        lo, hi = np.where(slope < 0, log_r, lo), np.where(slope > 0, log_r, hi)
+        curved = curv > 0
+        newton = np.divide(-slope, curv, out=np.copysign(np.inf, -slope), where=curved)
+        gain = np.divide(slope * slope, curv, out=np.full_like(slope, np.inf), where=curved)
+        done |= np.minimum(gain, np.abs(slope) * (hi - lo)) <= _NLML_TOL
+        if done.all():
+            return value, log_r, g
+        new = np.clip(log_r + np.clip(newton, -reach, reach), _LOG_R[0], _LOG_R[-1])
+        inside = (lo < log_r + newton) & (log_r + newton < hi)
+        bracketed = (lo >= _LOG_R[0]) & (hi <= _LOG_R[-1])
+        new = np.where(bracketed, np.where(inside, log_r + newton, 0.5 * (lo + hi)), new)
+        log_r, reach = np.where(done, log_r, new), 2.0 * reach
+    value, _, _, g = _profile(s, z2, log_r)
+    return value, log_r, g
 
 
 def _local_minima(profile: np.ndarray, count: int) -> list[int]:
@@ -290,6 +342,36 @@ def _local_minima(profile: np.ndarray, count: int) -> list[int]:
             if len(picked) == count:
                 break
     return picked
+
+
+def _pick(mask: np.ndarray, u: tuple, v: tuple) -> tuple:
+    """Row-wise ``u`` where ``mask`` holds, else ``v``, for tuples of arrays."""
+    return tuple(np.where(mask, x, y) for x, y in zip(u, v))
+
+
+def _refine(
+    d2: np.ndarray, ys: np.ndarray, log_tl: np.ndarray, a: np.ndarray,
+    b: np.ndarray, log_r: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Lockstep golden-section search in log theta_l over the bracket
+    [a, b] of every (output, seed) row of ``ys``, from its centre ``log_tl``
+    and ratio ``log_r``; each new point's ratio search starts from the
+    better kept point's.  Points are (NLML, log ratio, log theta_f^2,
+    log theta_l); returns the best evaluated point of each row."""
+    x = np.concatenate([log_tl, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)])
+    fits = _ratio_search(d2, np.tile(ys, (3, 1)), x, np.tile(log_r, 3))
+    best, p1, p2 = zip(*(np.split(v, 3) for v in (*fits, x)))
+    for p in (p1, p2):
+        best = _pick(p[0] < best[0], p, best)
+    while np.max(b - a) > _TL_TOL:
+        left = p1[0] < p2[0]  # the minimum is in [a, x2]
+        a, b = np.where(left, a, p1[3]), np.where(left, p2[3], b)
+        kept = _pick(left, p1, p2)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        p = (*_ratio_search(d2, ys, x, kept[1]), x)
+        p1, p2 = _pick(left, p, kept), _pick(left, kept, p)
+        best = _pick(p[0] < best[0], p, best)
+    return best
 
 
 def train_many(t: np.ndarray, Y: np.ndarray) -> list[GprModel]:
@@ -316,43 +398,38 @@ def train_many(t: np.ndarray, Y: np.ndarray) -> list[GprModel]:
         return []
     cols = [np.ascontiguousarray(y) for y in Y.T]
     y_scales = [float((y - float(y.mean())).std()) or 1.0 for y in cols]
-    ys_cols = [(y - float(y.mean())) / sc for y, sc in zip(cols, y_scales)]
-    Ys = np.column_stack(ys_cols)
+    Ys = np.column_stack([(y - float(y.mean())) / sc for y, sc in zip(cols, y_scales)])
 
+    M = ts.shape[0]
     d2 = (ts[:, None] - ts[None, :]) ** 2
-    d2_min = float(np.min(d2 + np.diag(np.full(ts.shape[0], np.inf))))
+    d2_min = float(np.min(d2 + np.diag(np.full(M, np.inf))))
     grid = np.arange(LOG_BOUNDS[1][0], LOG_BOUNDS[1][1] + 1e-9, _TL_STEP)
     profile = np.empty((grid.shape[0], Ys.shape[1]))
-    for i, log_tl in enumerate(grid):
-        profile[i] = _ray_scores(*_spectrum(d2, log_tl, Ys))[0].min(axis=0)
+    start = np.empty_like(profile)  # best log ratio at each grid point
+    chunk = max(1, _GRID_FLOATS // (_LOG_R.shape[0] * (M + Ys.shape[1])))
+    for i in range(0, grid.shape[0], chunk):
+        val = _ray_scores(*_spectra(d2, grid[i:i + chunk], Ys))
+        profile[i:i + chunk], start[i:i + chunk] = val.min(axis=2), _LOG_R[val.argmin(axis=2)]
+
+    pairs = [(p, k) for p in range(Ys.shape[1]) for k in _local_minima(profile[:, p], 2)]
+    out, k = (np.array(v) for v in zip(*pairs))
+    f, log_r, g, log_tl = _refine(
+        d2, Ys[:, out].T, grid[k], grid[np.maximum(k - 1, 0)],
+        grid[np.minimum(k + 1, grid.shape[0] - 1)], start[k, out],
+    )
 
     models = []
-    for p, (y, y_scale, ys) in enumerate(zip(cols, y_scales, ys_cols)):
-        best = (np.inf, 0.0, 0.0, 0.0)
-
-        def objective(log_tl):
-            nonlocal best
-            val, la, lb = _fit_at(d2, ys, log_tl)
-            if val < best[0]:
-                best = (val, float(log_tl), la, lb)
-            return val
-
-        for k in _local_minima(profile[:, p], 2):
-            objective(grid[k])  # the bounded search never samples its centre
-            minimize_scalar(
-                objective,
-                bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
-                method="bounded",
-                options={"xatol": _BRENT_XTOL},
-            )
-        _, log_tl, log_tf, log_sig = best
-        if np.exp(-0.5 * np.exp(2.0 * log_tl) * d2_min) <= JITTER0:  # tie rule
+    for p, (y, y_scale) in enumerate(zip(cols, y_scales)):
+        rows = np.flatnonzero(out == p)
+        i = rows[np.argmin(f[rows])]  # ties go to the first seed
+        log_tf, log_sig = 0.5 * g[i], 0.5 * (g[i] + log_r[i])
+        if np.exp(-0.5 * np.exp(2.0 * log_tl[i]) * d2_min) <= JITTER0:  # tie rule
             total = np.exp(2.0 * log_tf) * (1.0 + JITTER0) + np.exp(2.0 * log_sig)
             log_tf = LOG_BOUNDS[0][0]
             rest = total - np.exp(2.0 * log_tf) * (1.0 + JITTER0)
             log_sig = float(np.clip(0.5 * np.log(rest), *LOG_BOUNDS[2]))
         models.append(GprModel(
-            Kernel(float(np.exp(log_tf)), float(np.exp(log_tl))),
+            Kernel(float(np.exp(log_tf)), float(np.exp(log_tl[i]))),
             float(np.exp(2.0 * log_sig)), t, y,
             t_mean=t_mean, t_scale=t_scale, y_scale=y_scale,
         ))

@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+SCHEMA_VERSION = 1  # layout of the directory save_rom_model writes
+
+
 class HorizonExceededError(RuntimeError):
     """Query time lies beyond the certified forecast horizon."""
 
@@ -228,6 +231,8 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
     in which case the result is flagged.
     """
     t_query = float(t_query)
+    if not np.isfinite(t_query):
+        raise ValueError(f"query time {t_query} is not finite")
     if t_query <= m.t1:
         raise ValueError(f"query time {t_query} not beyond data start {m.t1}")
     forced = False
@@ -400,6 +405,7 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         delimiter=",",
     )
     meta = {
+        "schema_version": SCHEMA_VERSION,
         "field_name": m.field_name,
         "t1": m.t1,
         "tM": m.tM,
@@ -466,6 +472,12 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     src = Path(in_dir)
     with open(src / "model.json") as fh:
         meta = json.load(fh)
+    version = meta.get("schema_version", 1)  # files from before versioning
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"{src / 'model.json'}: unknown schema_version {version!r}; "
+            f"this mbrom reads version {SCHEMA_VERSION}"
+        )
     basis = _pod.load_pod_basis(src / "pod")
     mode_models = [
         load_gpr_model(src / "gpr" / f"mode_{k}.json") for k in range(basis.retained)

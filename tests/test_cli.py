@@ -137,6 +137,15 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "t*" in err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_time_refused(self, built_model, tmp_path, capsys, bad):
+        _, model = built_model
+        out = tmp_path / "bad"
+        rc = main(["forecast", str(model), "--t", bad, "--force", "--out", str(out)])
+        assert rc == 1
+        assert f"query time {bad} is not finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_force_allows_it(self, built_model, tmp_path):
         _, model = built_model
         report = json.loads((model / "report.json").read_text())

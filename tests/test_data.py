@@ -1,11 +1,17 @@
 """Grid, snapshot, fill and file I/O tests."""
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrom.data import (
+    FMT,
     BoundaryTrack,
     DomainMask,
     SnapshotSet,
@@ -13,6 +19,8 @@ from mbrom.data import (
     fill_occluded,
     inner_product,
     load_snapshots,
+    _parse_matrix,
+    _read_matrix,
     save_dataset,
 )
 
@@ -170,6 +178,22 @@ class TestLoadSnapshots:
         with pytest.raises(ValueError) as exc:
             load_snapshots(tmp_path)
         assert str(exc.value) == message
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(1, 8))
+    def test_fast_parse_equals_row_parse(self, seed, rows, cols):
+        # numpy's parser and the row-wise one read the same bits back
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-300, 300, (rows, cols))
+        mat[rng.random((rows, cols)) < 0.1] = 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            np.savetxt(path, mat, fmt=FMT, delimiter=",")
+            with open(path, newline="") as fh:
+                rowwise = _parse_matrix(path, enumerate(csv.reader(fh), start=1))
+            fast = _read_matrix(path)
+        np.testing.assert_array_equal(fast, rowwise)
+        np.testing.assert_array_equal(fast, mat)
 
     def test_boundary_track(self, tmp_path):
         write_dataset(

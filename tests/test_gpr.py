@@ -137,6 +137,12 @@ class TestPredict:
         assert muf[0] == pytest.approx(m.y_mean, abs=1e-12)
         assert sf[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_query_rejected(self, bad):
+        m = GprModel(Kernel(1.0, 1.0), 1e-4, np.linspace(0.0, 1.0, 5), np.arange(5.0))
+        with pytest.raises(ValueError, match=f"query time {bad} is not finite"):
+            m.predict([0.5, bad])
+
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(13)
         t = np.sort(rng.uniform(0, 1, 6))

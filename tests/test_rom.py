@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -80,6 +81,13 @@ class TestBuild:
 
 
 class TestForecastFixedDomain:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_non_finite_query_rejected(self, burgers_model, bad, force):
+        _, _, m = burgers_model
+        with pytest.raises(ValueError, match=f"query time {bad} is not finite"):
+            forecast(m, bad, force=force)
+
     def test_snapshot_time_within_tail_bound(self, burgers_model):
         _, s, m = burgers_model
         tail = np.sqrt(m.basis.tail_energy())
@@ -427,6 +435,41 @@ class TestSerialization:
         assert m2.horizon_gpr_a == m.horizon_gpr_a
         assert m2.horizon_gpr_gamma == m.horizon_gpr_gamma
         assert m2.mls_cfg == m.mls_cfg
+
+    def test_schema_version_and_byte_identical_resave(self, tmp_path, bubble_model):
+        _, _, m = bubble_model
+        save_rom_model(m, tmp_path / "a")
+        assert json.loads((tmp_path / "a" / "model.json").read_text())[
+            "schema_version"
+        ] == 1
+        save_rom_model(load_rom_model(tmp_path / "a"), tmp_path / "b")
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
+        assert files == sorted(
+            p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
+        )
+        for f in files:
+            if (tmp_path / "a" / f).is_file():
+                assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+    def test_schema_version_missing_reads_as_1(self, tmp_path, burgers_model):
+        _, _, m = burgers_model
+        save_rom_model(m, tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        meta = json.loads(path.read_text())
+        del meta["schema_version"]
+        path.write_text(json.dumps(meta))
+        assert load_rom_model(tmp_path / "model").t_star == m.t_star
+
+    def test_unknown_schema_version_rejected(self, tmp_path, burgers_model):
+        _, _, m = burgers_model
+        save_rom_model(m, tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        meta = json.loads(path.read_text())
+        meta["schema_version"] = 2
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError) as exc:
+            load_rom_model(tmp_path / "model")
+        assert str(path) in str(exc.value) and "schema_version 2" in str(exc.value)
 
     def test_unknown_weight_rejected(self, tmp_path, bubble_model):
         def quartic(q):
