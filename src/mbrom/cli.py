@@ -24,7 +24,7 @@ from . import benchmarks as bench_mod
 from . import pod as pod_mod
 from .data import FMT, load_snapshots, save_dataset
 from .galerkin import assemble_operators, integrate
-from .gpr import GprTolerances, train_many
+from .gpr import GprStack, GprTolerances, train_many
 from .mls import MlsConfig
 from .pod import PodThresholds
 from .rom import (
@@ -253,9 +253,8 @@ def _bench_burgers_sweep(out: Path) -> None:
     for re in (1.0, 100.0, 300.0, 500.0):
         _, snaps, truth = _burgers(re)
         basis = pod_mod.decompose(snaps)
-        coeffs = np.array(
-            [m.predict(0.6)[0][0] for m in train_many(snaps.times, basis.coeffs[:, :8])]
-        )
+        gps = GprStack(train_many(snaps.times, basis.coeffs[:, :8]))
+        coeffs = gps.predict(0.6)[0][:, 0]
         for r in range(1, 9):
             field = pod_mod.reconstruct(
                 pod_mod.truncate_to(basis, r), snaps.mean, coeffs[:r]

@@ -2,10 +2,11 @@
 
 Squared-exponential kernel, exact Cholesky posterior, and marginal-likelihood
 training.  Training standardizes inputs and outputs internally; predictions
-are returned in the original units.  The two horizon scans turn posterior
-uncertainty into a furthest defensible forecast time for the mode
-coefficients and for the boundary parameters; each model predicts a whole
-scan in one call.
+are returned in the original units.  ``GprStack`` predicts several GPs
+with equal training sizes in one call; ``GprModel.predict`` is its one-GP
+case.  The two horizon scans turn posterior uncertainty into a furthest
+defensible forecast time for the mode coefficients and for the boundary
+parameters; each model predicts a whole scan in one call.
 
 ``train_many`` fits every output that shares the training times at once.
 For a length scale theta_l, let K_u = Q diag(e) Q^T be the unit-amplitude
@@ -21,10 +22,11 @@ profiled out exactly.  The search:
 1. A log theta_l grid spanning ``LOG_BOUNDS[1]`` (stacked ``eigh`` over
    blocks of length scales) scores a fine log r grid for all outputs.
 2. Each output is refined from the two lowest local minima of its
-   length-scale profile, all (output, seed) pairs in lockstep: a
-   golden-section search in log theta_l with one stacked ``eigh`` per step,
-   and at each point a safeguarded Newton search in log r on the exact
-   derivatives, warm-started from the previous ratio.  No scipy optimizer.
+   length-scale profile, the (output, seed) pairs in lockstep over blocks
+   of pairs: a golden-section search in log theta_l with one stacked
+   ``eigh`` per step, and at each point a safeguarded Newton search in
+   log r on the exact derivatives, warm-started from the previous ratio.
+   No scipy optimizer.
 3. Tie rule: where the fitted kernel's largest off-diagonal on the training
    times is at most JITTER0, K = I there and only
    theta_f^2 (1 + JITTER0) + sigma^2 is identified.  The ridge goes to the
@@ -42,12 +44,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "Kernel",
     "GprTolerances",
     "GprModel",
+    "GprStack",
     "GprHorizon",
     "BoundaryHorizon",
     "kernel_matrix",
@@ -195,19 +199,55 @@ class GprModel:
         return float(np.sqrt(self.noise_var)) * self.y_scale
 
     def predict(self, t_query) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at the query times."""
+        """Posterior mean and standard deviation at the query times (the
+        one-GP case of ``GprStack.predict``)."""
+        mu, sd = GprStack([self]).predict(t_query)
+        return mu[0], sd[0]
+
+
+class GprStack:
+    """The posteriors of P GPs with equal training sizes M, predicted at Q
+    query times in one call (Rasmussen & Williams, GPML 2006, Alg. 2.1).
+
+    One kernel block (P, Q, M) serves all GPs, the means are one batched
+    product with the stacked ``alpha``, and the variances take one LAPACK
+    triangular solve per GP; each GP's result is bit-identical to a solo
+    prediction.  The factors, ``alpha`` and kernels are copied at
+    construction; the output offset and scale are read at each call.
+    """
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        sizes = sorted({m.train_t.shape[0] for m in self.models})
+        if len(sizes) > 1:
+            raise ValueError(f"stacked GPs need equal training sizes, got {sizes}")
+        P, M = len(self.models), sizes[0] if sizes else 0
+        self.t_mean, self.t_scale, self.tf2, self.neg_half_tl2 = np.array(
+            [[m.t_mean, m.t_scale, m.kernel.theta_f**2, -0.5 * m.kernel.theta_l**2]
+             for m in self.models], dtype=float,
+        ).T.reshape(4, P, 1, 1)
+        self.ts = np.array([m._ts for m in self.models]).reshape(P, 1, M)
+        self.alpha = np.array([m.alpha for m in self.models]).reshape(P, M, 1)
+        self.upper = [m.factor.T for m in self.models]  # Fortran-ordered L^T
+
+    def predict(self, t_query) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and standard deviations, each (P, Q)."""
         tq = np.atleast_1d(np.asarray(t_query, dtype=float)).ravel()
         if not np.isfinite(tq).all():
             raise ValueError(f"query time {tq[~np.isfinite(tq)][0]} is not finite")
-        ts = (tq - self.t_mean) / self.t_scale
-        ks = kernel_matrix(self.kernel, ts, self._ts)
-        mu = ks @ self.alpha
-        # the factor is finite by construction and the kernel block by the
-        # check above, so scipy's own scan of both is skipped
-        v = solve_triangular(self.factor, ks.T, lower=True, check_finite=False)
-        var = self.kernel.theta_f**2 - np.sum(v * v, axis=0)
-        var = np.clip(var, 0.0, None)
-        return mu * self.y_scale + self.y_mean, np.sqrt(var) * self.y_scale
+        d = (tq[:, None] - self.t_mean) / self.t_scale - self.ts
+        ks = self.tf2 * np.exp(self.neg_half_tl2 * d * d)
+        mu = (ks @ self.alpha)[:, :, 0]
+        # L v = k*^T as scipy's solve_triangular solves it for a C-ordered
+        # lower L; the factor is finite by construction and the kernel
+        # block by the check above
+        v = np.empty_like(ks)
+        for p, u in enumerate(self.upper):
+            v[p] = dtrtrs(u, ks[p].T, lower=0, trans=1)[0].T
+        var = np.clip(self.tf2[:, :, 0] - np.sum(v * v, axis=2), 0.0, None)
+        y_mean = np.array([m.y_mean for m in self.models])[:, None]
+        y_scale = np.array([m.y_scale for m in self.models])[:, None]
+        return mu * y_scale + y_mean, np.sqrt(var) * y_scale
 
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -413,10 +453,12 @@ def train_many(t: np.ndarray, Y: np.ndarray) -> list[GprModel]:
 
     pairs = [(p, k) for p in range(Ys.shape[1]) for k in _local_minima(profile[:, p], 2)]
     out, k = (np.array(v) for v in zip(*pairs))
-    f, log_r, g, log_tl = _refine(
-        d2, Ys[:, out].T, grid[k], grid[np.maximum(k - 1, 0)],
-        grid[np.minimum(k + 1, grid.shape[0] - 1)], start[k, out],
-    )
+    a, b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.shape[0] - 1)]
+    block = max(1, _GRID_FLOATS // (6 * M * M))  # _refine holds ~6 M x M per pair
+    f, log_r, g, log_tl = (np.concatenate(v) for v in zip(*(
+        _refine(d2, Ys[:, out[s]].T, grid[k[s]], a[s], b[s], start[k[s], out[s]])
+        for s in (slice(i, i + block) for i in range(0, out.shape[0], block))
+    )))
 
     models = []
     for p, (y, y_scale) in enumerate(zip(cols, y_scales)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .gpr import (
     BoundaryHorizon,
     GprHorizon,
     GprModel,
+    GprStack,
     GprTolerances,
     gpr_horizon_boundary,
     gpr_horizon_modes,
@@ -62,9 +64,13 @@ class HorizonExceededError(RuntimeError):
     """Query time lies beyond the certified forecast horizon."""
 
 
+def _node_radii(grid: SpatialGrid) -> np.ndarray:
+    return np.sqrt(np.sum(grid.coords**2, axis=1))
+
+
 def radius_mask(grid: SpatialGrid, radius: float) -> np.ndarray:
     """Fluid mask for a centered body of the given radius."""
-    return np.sqrt(np.sum(grid.coords**2, axis=1)) >= radius
+    return _node_radii(grid) >= radius
 
 
 @dataclass
@@ -90,12 +96,20 @@ class RomModel:
     mls_cache: StencilCache = field(
         default_factory=StencilCache, init=False, repr=False, compare=False
     )
+    # every mode GP, then every boundary GP, predicted in one call
+    gp_stack: GprStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.mode_models) != self.basis.retained:
             raise ValueError(
                 f"{len(self.mode_models)} mode models for R={self.basis.retained}"
             )
+        self.gp_stack = GprStack(self.mode_models + (self.boundary_models or []))
+
+    @cached_property
+    def node_radii(self) -> np.ndarray:
+        """Distance of every grid node from the origin (the radius rule)."""
+        return _node_radii(self.grid)
 
     @property
     def t_star(self) -> float:
@@ -113,10 +127,16 @@ class RomModel:
             stars["gpr_gamma"] = self.horizon_gpr_gamma.t_star
         return min(stars, key=stars.get)
 
+    def posterior(self, t_query: float) -> tuple[np.ndarray, ...]:
+        """Mode-coefficient means and deviations and the boundary-parameter
+        means (``None`` without boundary GPs) at the query time."""
+        mu, sd = self.gp_stack.predict(t_query)
+        R = len(self.mode_models)
+        gamma = mu[R:, 0] if self.boundary_models is not None else None
+        return mu[:R, 0], sd[:R, 0], gamma
+
     def predict_boundary(self, t_query: float) -> np.ndarray | None:
-        if self.boundary_models is None:
-            return None
-        return np.array([m.predict(t_query)[0][0] for m in self.boundary_models])
+        return self.posterior(t_query)[2]
 
     def fluid_mask_at(self, t_query: float) -> np.ndarray | None:
         """Predicted fluid mask at the query time, from the boundary GPs."""
@@ -128,7 +148,7 @@ class RomModel:
         if callable(self.boundary_geometry):
             return np.asarray(self.boundary_geometry(self.grid, gamma), dtype=bool)
         if self.boundary_geometry == "radius":
-            return radius_mask(self.grid, float(gamma[0]))
+            return self.node_radii >= float(gamma[0])
         raise ValueError(f"unknown boundary geometry {self.boundary_geometry!r}")
 
 
@@ -243,9 +263,7 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
             )
         forced = True
 
-    posterior = [mm.predict(t_query) for mm in m.mode_models]
-    coeffs = np.array([mu[0] for mu, _ in posterior])
-    sigmas = np.array([sd[0] for _, sd in posterior])
+    coeffs, sigmas, gamma = m.posterior(t_query)
     field_values = _pod.reconstruct(m.basis, m.mean, coeffs)
     lam = m.basis.eigenvalues
     sigma_w = float((lam[: len(sigmas)] * sigmas).sum() / lam.sum())
@@ -256,8 +274,7 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
     report = None
     fluid_now = None
     eps_mls = 0.0
-    if m.boundary_models is not None:
-        gamma = m.predict_boundary(t_query)
+    if gamma is not None:
         boundary_values = dict(zip(m.boundary.names, map(float, gamma)))
         fluid_now = m._fluid_mask(gamma)
         if fluid_now is not None:

@@ -7,14 +7,16 @@ search the library ran before its lockstep refine: the same length-scale
 and noise-ratio grids, then per output a bounded scalar search in the
 length scale with an L-BFGS-B over (theta_f, sigma) at each step.
 ``gpr_horizon_modes`` and ``gpr_horizon_boundary`` predict one scan time per
-call.  The library prices the likelihood in the kernel's eigenbasis and
-predicts a whole scan in one block; these are the plain definitions it is
-checked against.
+call.  ``predict`` is one GP's posterior through scipy's triangular solve.
+The library prices the likelihood in the kernel's eigenbasis, predicts a
+whole scan in one block and stacks the GPs of a forecast; these are the
+plain definitions it is checked against.
 """
 
 import warnings
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize, minimize_scalar
 
 from mbrom.gpr import (
@@ -24,9 +26,24 @@ from mbrom.gpr import (
     GprHorizon,
     GprModel,
     Kernel,
+    kernel_matrix,
     nlml,
     weighted_sigma,
 )
+
+
+def predict(m: GprModel, t_query) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation of one GP at the query times."""
+    tq = np.atleast_1d(np.asarray(t_query, dtype=float)).ravel()
+    if not np.isfinite(tq).all():
+        raise ValueError(f"query time {tq[~np.isfinite(tq)][0]} is not finite")
+    ts = (tq - m.t_mean) / m.t_scale
+    ks = kernel_matrix(m.kernel, ts, m._ts)
+    mu = ks @ m.alpha
+    v = solve_triangular(m.factor, ks.T, lower=True, check_finite=False)
+    var = m.kernel.theta_f**2 - np.sum(v * v, axis=0)
+    var = np.clip(var, 0.0, None)
+    return mu * m.y_scale + m.y_mean, np.sqrt(var) * m.y_scale
 
 
 def _median_heuristic(ts: np.ndarray) -> float:

@@ -1,11 +1,17 @@
 """GP kernel, likelihood, training, prediction and horizon tests."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve
 
+import gpr_oracles as oracle
 from mbrom.gpr import (
     GprModel,
+    GprStack,
     GprTolerances,
     Kernel,
     gpr_horizon_boundary,
@@ -17,6 +23,8 @@ from mbrom.gpr import (
     train,
     weighted_sigma,
 )
+from mbrom.rom import build, forecast, load_rom_model, save_rom_model
+from test_gpr_training import FIXTURES, _disk_snapshots
 
 
 class TestKernelMatrix:
@@ -192,6 +200,105 @@ class TestPredict:
         np.testing.assert_allclose(
             m.factor @ m.factor.T, C, rtol=0, atol=1e-10 * np.abs(C).max()
         )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def fixture_model():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                snaps = _disk_snapshots() if name == "disk" else FIXTURES[name]()
+                cache[name] = build(snaps)
+        return cache[name]
+
+    return get
+
+
+def random_gps(seed, M, P):
+    """P GPs on M times each, with random data, scales and hyperparameters."""
+    rng = np.random.default_rng(seed)
+    gps = []
+    for _ in range(P):
+        t = np.sort(rng.uniform(0.0, rng.uniform(0.5, 10.0), M))
+        y = rng.normal(rng.normal(0, 5), rng.uniform(0.01, 3.0), M)
+        kernel = Kernel(np.exp(rng.uniform(-2, 1)), np.exp(rng.uniform(-1, 2)))
+        gps.append(GprModel(
+            kernel, float(np.exp(rng.uniform(-20, -2))), t, y,
+            t_mean=float(t.mean()), t_scale=float(rng.uniform(0.5, 4.0)),
+            y_scale=float(rng.uniform(0.1, 10.0)),
+        ))
+    return gps
+
+
+class TestStack:
+    """``GprStack`` against one-GP-at-a-time posteriors (``oracle.predict``)."""
+
+    @staticmethod
+    def assert_matches_oracle(stack, tq):
+        mu, sd = stack.predict(tq)
+        for p, gp in enumerate(stack.models):
+            ref_mu, ref_sd = oracle.predict(gp, tq)
+            assert same_bits(mu[p], ref_mu) and same_bits(sd[p], ref_sd), p
+            solo_mu, solo_sd = gp.predict(tq)
+            assert same_bits(solo_mu, ref_mu) and same_bits(solo_sd, ref_sd), p
+
+    @pytest.mark.parametrize("name", [*sorted(FIXTURES), "disk"])
+    def test_fixture_gps_bit_identical(self, fixture_model, name):
+        m = fixture_model(name)
+        stacks = [m.gp_stack, GprStack(m.mode_models)]
+        if m.boundary_models is not None:
+            stacks.append(GprStack(m.boundary_models))
+        one = m.tM + 0.3 * (m.tM - m.t1)
+        scan = m.tM + np.arange(1001) * m.scan_step
+        for stack in stacks:
+            for tq in (one, scan):
+                self.assert_matches_oracle(stack, tq)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(2, 25),
+           P=st.integers(1, 12), Q=st.integers(1, 40))
+    def test_random_gps_bit_identical_and_bounded(self, seed, M, P, Q):
+        gps = random_gps(seed, M, P)
+        stack = GprStack(gps)
+        lo = min(gp.train_t[0] for gp in gps)
+        hi = max(gp.train_t[-1] for gp in gps)
+        tq = np.random.default_rng(seed + 1).uniform(lo - 5.0, hi + 5.0, Q)
+        self.assert_matches_oracle(stack, tq)
+        _, sd = stack.predict(tq)
+        assert (sd >= 0.0).all()
+        for p, gp in enumerate(gps):
+            assert (sd[p] <= gp.theta_f).all()
+
+    def test_unequal_training_sizes_rejected(self):
+        gps = random_gps(0, 5, 1) + random_gps(1, 6, 1)
+        with pytest.raises(ValueError, match="equal training sizes"):
+            GprStack(gps)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_query_rejected(self, bad):
+        stack = GprStack(random_gps(2, 5, 3))
+        with pytest.raises(ValueError, match=f"query time {bad} is not finite"):
+            stack.predict([0.5, bad])
+
+    @pytest.mark.parametrize("name", ["burgers-re500", "cavity-nr120"])
+    def test_reloaded_forecast_bit_identical(self, fixture_model, name, tmp_path):
+        m = fixture_model(name)
+        save_rom_model(m, tmp_path / "model")
+        m2 = load_rom_model(tmp_path / "model")
+        for frac in (0.05, 0.2, 0.5):
+            t = m.tM + frac * (m.tM - m.t1)
+            a, b = forecast(m, t, force=True), forecast(m2, t, force=True)
+            assert same_bits(a.field, b.field)
+            assert same_bits(a.sigma_weighted, b.sigma_weighted)
+            assert a.boundary_values == b.boundary_values
 
 
 class _StubModel:

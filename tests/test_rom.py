@@ -22,7 +22,7 @@ from mbrom.benchmarks import (
     burgers_snapshots,
 )
 from mbrom.data import SpatialGrid
-from mbrom.gpr import GprModel, GprTolerances
+from mbrom.gpr import GprStack, GprTolerances
 from mbrom.mls import MlsConfig
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
@@ -200,18 +200,19 @@ class TestForecastMovingBoundary:
         np.testing.assert_array_equal(fc.fluid_mask, m.fluid_mask_at(64.0))
 
     def test_each_gp_predicted_once(self, bubble_model, monkeypatch):
+        # one stacked call predicts every mode and boundary GP
         _, _, m = bubble_model
         seen = []
-        predict = GprModel.predict
+        predict = GprStack.predict
 
         def counted(self, t_query):
-            seen.append(id(self))
+            seen.append(self)
             return predict(self, t_query)
 
-        monkeypatch.setattr(GprModel, "predict", counted)
+        monkeypatch.setattr(GprStack, "predict", counted)
         forecast(m, 64.0, force=True)
-        gps = m.mode_models + m.boundary_models
-        assert sorted(seen) == sorted(map(id, gps))
+        assert seen == [m.gp_stack]
+        assert m.gp_stack.models == tuple(m.mode_models + m.boundary_models)
 
 
 def perfbench_disk2d():
