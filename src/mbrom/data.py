@@ -15,9 +15,12 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "SpatialGrid",
@@ -249,6 +252,18 @@ def _term_name(e: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _tree(pts: np.ndarray) -> cKDTree:
+    """k-d tree over ``pts`` for ``_nearest`` and ``_balls``.
+
+    The sliding-midpoint split (Maneewongvatana & Mount 1999) builds faster
+    than the median split on grids; query distances do not depend on the
+    split.  scipy.spatial loads on first use, not with the package.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(pts, balanced_tree=False, compact_nodes=False)
+
+
 def _balls(
     tree: cKDTree, pts: np.ndarray, targets: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +284,38 @@ def _balls(
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
+_PAD = 8  # candidates fetched past the k-th nearest, to hold its distance ties
+
+
 def _nearest(
     tree: cKDTree, pts: np.ndarray, targets: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest of ``pts`` to each target, as (T, k) indices and d2.
 
     Row for row this is ``np.argsort(d2, kind="stable")[:k]`` of a
-    brute-force scan: the ball out to the tree's k-th distance holds every
-    node that ties with or undercuts the k nearest.
+    brute-force scan.  One tree query fetches the k + ``_PAD`` nearest by
+    tree distance; the cut is the k-th of them widened by 1e-9, so it holds
+    every node that ties with or undercuts the k nearest.  The candidates
+    inside the cut are ordered by exact d2, ties to the lower index.  A row
+    whose last candidate is still inside the cut (a tie group running past
+    the pad) may miss nodes, and goes through the ball search out to the
+    cut instead.
     """
-    k = min(k, pts.shape[0])
-    kth = tree.query(targets, k=[k])[0][:, 0]
-    idx, d2 = _balls(tree, pts, targets, kth)
-    return idx[:, :k], d2[:, :k]
+    n = pts.shape[0]
+    k = min(k, n)
+    m = min(n, k + _PAD)
+    dist, idx = (a.reshape(len(targets), m) for a in tree.query(targets, k=m))
+    cut = dist[:, k - 1] * (1.0 + 1e-9)
+    d2 = np.where(
+        dist <= cut[:, None], np.sum((pts[idx] - targets[:, None, :]) ** 2, axis=2), np.inf
+    )
+    order = np.lexsort((idx, d2))[:, :k]
+    idx, d2 = np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
+    short = np.flatnonzero((dist[:, -1] <= cut) & (m < n))
+    if short.size:
+        ball_idx, ball_d2 = _balls(tree, pts, targets[short], dist[short, k - 1])
+        idx[short], d2[short] = ball_idx[:, :k], ball_d2[:, :k]
+    return idx, d2
 
 
 def _shape_functions(
@@ -376,7 +410,7 @@ def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, or
         )
     pts = grid.coords[flu]
     targets = grid.coords[occ]
-    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * n_terms)
+    sel, _ = _nearest(_tree(pts), pts, targets, 3 * n_terms)
     centered = pts[sel] - targets[:, None, :]
     scale = np.max(np.abs(centered), axis=(1, 2))
     scale[scale == 0] = 1.0

@@ -37,9 +37,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .data import FMT, SpatialGrid, _balls, _nearest, _poly_terms, _shape_functions
+from .data import FMT, SpatialGrid, _balls, _nearest, _poly_terms, _shape_functions, _tree
 
 __all__ = [
     "MlsConfig",
@@ -238,7 +237,7 @@ class StencilCache:
         self.hist_idx = np.flatnonzero(history)
         self.hist_pts = grid.coords[self.hist_idx]
         enough = self.hist_idx.size >= cfg.required_neighbors(grid.dim)
-        self.tree = cKDTree(self.hist_pts) if enough else None
+        self.tree = _tree(self.hist_pts) if enough else None
         self.h = np.full(grid.n_nodes, np.nan)  # nan: not looked at yet
         self.start = np.zeros(grid.n_nodes, dtype=int)
         self.count = np.zeros(grid.n_nodes, dtype=int)

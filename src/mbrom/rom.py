@@ -68,11 +68,6 @@ def _node_radii(grid: SpatialGrid) -> np.ndarray:
     return np.sqrt(np.sum(grid.coords**2, axis=1))
 
 
-def radius_mask(grid: SpatialGrid, radius: float) -> np.ndarray:
-    """Fluid mask for a centered body of the given radius."""
-    return _node_radii(grid) >= radius
-
-
 @dataclass
 class RomModel:
     grid: SpatialGrid
@@ -179,27 +174,25 @@ def build(
     boundary_geometry: str | Callable | None = None,
     seed: int = 0,
 ) -> RomModel:
-    """Construct the ROM: boundary GPs, occluded fill, POD, per-mode GPs.
+    """Construct the ROM: occluded fill, POD, then the GPs and their horizons.
 
-    Moving-boundary datasets must carry a boundary track; its parameters are
-    modeled first and bound the forecast through their own horizon.  The
-    occluded fill then completes the snapshot data so POD runs over the
-    whole grid.  ``seed`` is accepted and ignored: training is deterministic.
+    Moving-boundary datasets must carry a boundary track.  The occluded fill
+    completes their snapshot data so POD runs over the whole grid; the
+    boundary-parameter GPs and the mode GPs are then trained in one call,
+    and the boundary GPs bound the forecast through their own horizon.
+    Under the ``"radius"`` geometry every snapshot's mask must be the rule's
+    (fluid where the node radius is at least the first boundary parameter).
+    ``seed`` is accepted and ignored: training is deterministic.
     """
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
     scan_step = (tM - t1) / s.n_snapshots
 
-    boundary_models = None
-    horizon_gamma = None
     geometry = boundary_geometry
+    radii = None
     if moving:
         if s.boundary is None:
             raise ValueError("moving-boundary snapshots need a boundary track")
-        boundary_models = train_many(s.times, s.boundary.values)
-        horizon_gamma = gpr_horizon_boundary(
-            boundary_models, tM, tolerances.beta_gpr_gamma, scan_step
-        )
         if geometry is None and s.boundary.n_params == 1:
             geometry = "radius"
         if geometry is None:
@@ -208,6 +201,9 @@ def build(
                 "correction",
                 stacklevel=2,
             )
+        if geometry == "radius":
+            radii = _node_radii(s.grid)
+            _check_radius_masks(s, radii)
         filled = fill_occluded(s, order=fill_order)
     else:
         if s.boundary is not None:
@@ -218,11 +214,22 @@ def build(
 
     basis = _pod.truncate(_pod.decompose(filled), thresholds.alpha_pod)
     horizon_pod = _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)
-    mode_models = train_many(filled.times, basis.coeffs[:, :basis.retained])
+    outputs = basis.coeffs[:, :basis.retained]
+    if moving:
+        outputs = np.column_stack([s.boundary.values, outputs])
+    models = train_many(filled.times, outputs)
+    split = len(models) - basis.retained  # the boundary GPs come first
+    mode_models = models[split:]
+    boundary_models = models[:split] if moving else None
+    horizon_gamma = None
+    if moving:
+        horizon_gamma = gpr_horizon_boundary(
+            boundary_models, tM, tolerances.beta_gpr_gamma, scan_step
+        )
     horizon_a = gpr_horizon_modes(
         mode_models, basis.eigenvalues, tM, tolerances.beta_gpr_a, scan_step
     )
-    return RomModel(
+    model = RomModel(
         grid=s.grid,
         mean=filled.mean,
         basis=basis,
@@ -242,6 +249,23 @@ def build(
         horizon_gpr_gamma=horizon_gamma,
         field_name=s.field_name,
     )
+    if radii is not None:
+        model.node_radii = radii  # seeds the cached property
+    return model
+
+
+def _check_radius_masks(s: SnapshotSet, radii: np.ndarray) -> None:
+    """Raise ValueError unless every snapshot's mask is ``radii >= R``, with
+    R the snapshot's first boundary parameter."""
+    fluid = np.array([m.fluid for m in s.masks])
+    wrong = (fluid != (radii >= s.boundary.values[:, :1])).any(axis=1)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ValueError(
+            f"mask of snapshot {i + 1} (t = {s.times[i]:.6g}) is not the radius "
+            f"rule: fluid where the node radius >= {s.boundary.names[0]} = "
+            f"{s.boundary.values[i, 0]:.6g}"
+        )
 
 
 def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:

@@ -1,10 +1,16 @@
-"""Command-line interface tests (in-process invocations)."""
+"""Command-line interface tests: in-process invocations, and the imports
+of a fresh process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbrom
 from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
 from mbrom.cli import main
 from mbrom.data import save_dataset
@@ -318,3 +324,14 @@ class TestForecastTruthMovingBoundary:
         assert err == pytest.approx(expected, rel=1e-9)
         assert err < 0.05  # over the whole grid, cavity nodes push it to ~0.58
         np.testing.assert_allclose(truth, bubble_strain(r, 64.0, cfg), rtol=1e-12)
+
+
+def test_cli_import_leaves_out_the_tree_module():
+    # the k-d tree (scipy.spatial) loads only when a fill or correction runs
+    src = str(Path(mbrom.__file__).resolve().parents[1])
+    code = "import sys, mbrom.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

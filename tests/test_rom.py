@@ -21,7 +21,7 @@ from mbrom.benchmarks import (
     burgers_exact,
     burgers_snapshots,
 )
-from mbrom.data import SpatialGrid
+from mbrom.data import DomainMask, SnapshotSet, SpatialGrid
 from mbrom.gpr import GprStack, GprTolerances
 from mbrom.mls import MlsConfig
 from mbrom.pod import PodThresholds, reconstruct
@@ -74,6 +74,20 @@ class TestBuild:
         stripped.boundary = None
         with pytest.raises(ValueError, match="boundary track"):
             build(stripped)
+
+    def test_mask_off_the_radius_rule_fails_the_build(self, bubble_model):
+        _, s, _ = bubble_model
+        masks = list(s.masks)
+        fluid = masks[2].fluid.copy()
+        j = int(np.argmax(fluid))  # the innermost fluid node of snapshot 3
+        fluid[j] = False
+        masks[2] = DomainMask(fluid)
+        bad = SnapshotSet(s.grid, s.times, s.fields, masks=masks, boundary=s.boundary)
+        with pytest.raises(ValueError, match=r"mask of snapshot 3 \(t = 53\) is not the radius rule"):
+            build(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            build(bad, boundary_geometry=lambda grid, gamma: np.ones(grid.n_nodes, bool))
 
     def test_mode_model_count_matches_r(self, bubble_model):
         _, _, m = bubble_model
