@@ -13,6 +13,7 @@ certified horizon without --force.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import benchmarks as bench_mod
 from . import pod as pod_mod
-from .data import FMT, load_snapshots, save_dataset
+from .data import FMT, load_snapshots, save_dataset, write_matrix
 from .galerkin import assemble_operators, integrate
 from .gpr import GprStack, GprTolerances, train_many
 from .mls import MlsConfig
@@ -40,10 +41,15 @@ from .rom import (
 __all__ = ["main"]
 
 
-def _json_dump(payload, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _json_dump(payload, path: Path) -> str:
+    """Write ``payload`` as JSON to ``path``; returns the text less its newline."""
+    text = _json_text(payload)
+    path.write_text(text + "\n")
+    return text
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -85,15 +91,6 @@ def _thresholds(args, config) -> tuple[PodThresholds, GprTolerances, MlsConfig]:
     )
     mls = MlsConfig(order=int(_resolve(args, config, "mls_order", 3)))
     return thr, tol, mls
-
-
-def _write_field_csv(path: Path, grid, field) -> None:
-    np.savetxt(
-        path,
-        np.column_stack([grid.coords, field]),
-        fmt=FMT,
-        delimiter=",",
-    )
 
 
 def _horizons(model) -> dict:
@@ -181,7 +178,7 @@ def cmd_forecast(args) -> int:
     fc = forecast(model, args.t, force=args.force)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_field_csv(out / "field.csv", model.grid, fc.field)
+    write_matrix(out / "field.csv", np.column_stack([model.grid.coords, fc.field]))
     summary = {
         "t_query": fc.t_query,
         "t_star_pod": fc.t_star_pod,
@@ -225,16 +222,15 @@ def cmd_forecast(args) -> int:
         )
     if fc.correction_report is not None and fc.correction_report.rows:
         fc.correction_report.to_csv(out / "correction_report.csv")
-    _json_dump(summary, out / "summary.json")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_json_dump(summary, out / "summary.json"))
     return 0
 
 
 def cmd_horizon(args) -> int:
-    payload = _horizons(load_rom_model(args.model))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _json_text(_horizons(load_rom_model(args.model)))
+    print(text)
     if args.out:
-        _json_dump(payload, Path(args.out))
+        Path(args.out).write_text(text + "\n")
     return 0
 
 
@@ -279,10 +275,9 @@ def _bench_error_growth(out: Path) -> None:
             np.sqrt(np.sum(diff * diff * snaps.grid.quad_weights))
         )
         rows.append((dt_star, eps, fc.sigma_weighted))
-    with open(out / "error_growth.csv", "w") as fh:
-        fh.write("dt_star,eps_rom,sigma_weighted\n")
-        for dt_star, eps, sigma in rows:
-            fh.write(f"{FMT % dt_star},{FMT % eps},{FMT % sigma}\n")
+    write_matrix(
+        out / "error_growth.csv", np.array(rows), header="dt_star,eps_rom,sigma_weighted"
+    )
 
 
 def _bench_galerkin_compare(out: Path) -> None:
@@ -323,13 +318,11 @@ def _bench_bubble(out: Path) -> None:
     uncorrected = fc.field.copy()
     for node, _, before, _ in fc.correction_report.rows:
         uncorrected[node] = before
-    with open(out / "bubble_fields.csv", "w") as fh:
-        fh.write("r,truth,rom_uncorrected,rom_corrected\n")
-        for j in range(r.shape[0]):
-            fh.write(
-                f"{FMT % r[j]},{FMT % truth[j]},"
-                f"{FMT % uncorrected[j]},{FMT % fc.field[j]}\n"
-            )
+    write_matrix(
+        out / "bubble_fields.csv",
+        np.column_stack([r, truth, uncorrected, fc.field]),
+        header="r,truth,rom_uncorrected,rom_corrected",
+    )
     if fc.correction_report.rows:
         fc.correction_report.to_csv(out / "bubble_correction_report.csv")
     exp = fc.corrected_nodes
@@ -406,7 +399,11 @@ def cmd_adaptive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves it
+    unchanged and fills a fresh namespace from its defaults, so no value
+    carries from one ``main`` call to the next."""
     p = argparse.ArgumentParser(
         prog="mbrom",
         description="Nonintrusive reduced-order modeling with moving boundaries",

@@ -9,6 +9,7 @@ are flagged by a per-snapshot mask.  Matrices are stored as headerless CSV
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 import warnings
@@ -31,6 +32,7 @@ __all__ = [
     "fill_occluded",
     "load_snapshots",
     "save_dataset",
+    "write_matrix",
 ]
 
 
@@ -272,14 +274,16 @@ def _balls(
     Returns (T, K) indices and squared distances, each row ordered by the
     squared distance summed over axes, ties to the lower index, and padded
     with d2 = inf.  The query radius is widened by 1e-9 so that rounding in
-    the tree cannot drop a node; callers test the exact d2 themselves.
+    the tree cannot drop a node; callers test the exact d2 themselves.  The
+    tree's index lists go into the padded array in one pass.
     """
     balls = tree.query_ball_point(targets, r * (1.0 + 1e-9), return_sorted=True)
-    sizes = np.array([len(b) for b in balls])
+    sizes = np.fromiter(map(len, balls), np.intp, len(balls))
     slot = np.arange(sizes.max()) < sizes[:, None]
-    idx = np.zeros(slot.shape, dtype=int)
-    idx[slot] = np.concatenate(balls)
-    d2 = np.where(slot, np.sum((pts[idx] - targets[:, None, :]) ** 2, axis=2), np.inf)
+    idx = np.zeros(slot.shape, dtype=np.intp)
+    idx[slot] = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(sizes.sum()))
+    offsets = pts.take(idx, axis=0) - targets[:, None, :]
+    d2 = np.where(slot, np.sum(offsets**2, axis=2), np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
@@ -463,16 +467,18 @@ def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
 def _read_matrix(path: Path) -> np.ndarray:
     """Float matrix from a headerless CSV: numpy's parser first, and the
     row-wise parser, which names the offending row, when that fails or the
-    matrix is empty or not finite."""
+    matrix is empty or not finite.  numpy reads from an open handle, which
+    skips its lookup of the path."""
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
-            mat = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+            mat = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         if mat.size and np.isfinite(mat).all():
             return mat
-    except ValueError:
+    except ValueError:  # also UnicodeDecodeError, an undecodable byte
         pass
-    with open(path, newline="") as fh:
+    # an undecodable byte becomes U+FFFD, a non-numeric entry with its row
+    with open(path, newline="", errors="replace") as fh:
         return _parse_matrix(path, enumerate(csv.reader(fh), start=1))
 
 
@@ -555,6 +561,34 @@ def load_snapshots(manifest_path: str | Path) -> SnapshotSet:
 
 
 FMT = "%.17g"
+_BLOCK_VALUES = 4096  # values formatted per write; a block holds at least one row
+
+
+def write_matrix(
+    path: str | Path, mat: np.ndarray, fmt: str = FMT, header: str | None = None
+) -> None:
+    """Write ``mat`` as headerless CSV (a 1-D array as one column), each value
+    formatted by ``fmt``, after an optional ``header`` line.
+
+    The bytes are those of ``np.savetxt(path, mat, fmt=fmt, delimiter=",")``
+    (with ``header=header, comments=""``).  Rows are formatted in blocks of
+    about ``_BLOCK_VALUES`` values, one ``%`` over a block's Python numbers,
+    so a large matrix never becomes one string.
+    """
+    mat = np.asarray(mat)
+    if mat.ndim == 1:
+        mat = mat[:, None]
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array, got {mat.ndim}-D")
+    rows, cols = mat.shape
+    line = ",".join([fmt] * cols) + "\n"
+    step = max(1, _BLOCK_VALUES // max(cols, 1))
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for a in range(0, rows, step):
+            block = mat[a : a + step]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
@@ -562,9 +596,9 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gmat = np.column_stack([s.grid.coords, s.grid.quad_weights])
-    np.savetxt(out / "grid.csv", gmat, fmt=FMT, delimiter=",")
-    np.savetxt(out / "fields.csv", s.fields, fmt=FMT, delimiter=",")
-    np.savetxt(out / "times.csv", s.times[:, None], fmt=FMT, delimiter=",")
+    write_matrix(out / "grid.csv", gmat)
+    write_matrix(out / "fields.csv", s.fields)
+    write_matrix(out / "times.csv", s.times)
     meta = {
         "grid": "grid.csv",
         "fields": "fields.csv",
@@ -573,7 +607,7 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
     }
     if not s.all_fluid():
         mmat = np.array([m.fluid.astype(int) for m in s.masks])
-        np.savetxt(out / "masks.csv", mmat, fmt="%d", delimiter=",")
+        write_matrix(out / "masks.csv", mmat, fmt="%d")
         meta["masks"] = "masks.csv"
     if s.boundary is not None:
         with open(out / "boundary.csv", "w", newline="") as fh:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FMT, SpatialGrid, inner_product
+from .data import SpatialGrid, inner_product, write_matrix
 from .pod import PodBasis
 
 __all__ = [
@@ -167,11 +167,4 @@ def write_trajectory_csv(
     if traj.shape[0] != times.shape[0]:
         raise ValueError("trajectory row count does not match times")
     header = "t," + ",".join(f"a_{k + 1}" for k in range(traj.shape[1]))
-    np.savetxt(
-        path,
-        np.column_stack([times, traj]),
-        fmt=FMT,
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+    write_matrix(path, np.column_stack([times, traj]), header=header)

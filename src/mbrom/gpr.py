@@ -6,7 +6,7 @@ are returned in the original units.  ``GprStack`` predicts several GPs
 with equal training sizes in one call; ``GprModel.predict`` is its one-GP
 case.  The two horizon scans turn posterior uncertainty into a furthest
 defensible forecast time for the mode coefficients and for the boundary
-parameters; each model predicts a whole scan in one call.
+parameters; each predicts its whole scan through one ``GprStack``.
 
 ``train_many`` fits every output that shares the training times at once.
 For a length scale theta_l, let K_u = Q diag(e) Q^T be the unit-amplitude
@@ -59,6 +59,7 @@ __all__ = [
     "train",
     "train_many",
     "weighted_sigma",
+    "energy_weighted",
     "gpr_horizon_modes",
     "gpr_horizon_boundary",
     "save_gpr_model",
@@ -235,16 +236,23 @@ class GprStack:
         tq = np.atleast_1d(np.asarray(t_query, dtype=float)).ravel()
         if not np.isfinite(tq).all():
             raise ValueError(f"query time {tq[~np.isfinite(tq)][0]} is not finite")
+        # tf2 exp((-theta_l^2 / 2) d d) in place: a long scan holds at most
+        # two (P, Q, M) blocks
         d = (tq[:, None] - self.t_mean) / self.t_scale - self.ts
-        ks = self.tf2 * np.exp(self.neg_half_tl2 * d * d)
+        ks = self.neg_half_tl2 * d
+        ks *= d
+        del d
+        np.exp(ks, out=ks)
+        ks *= self.tf2
         mu = (ks @ self.alpha)[:, :, 0]
         # L v = k*^T as scipy's solve_triangular solves it for a C-ordered
         # lower L; the factor is finite by construction and the kernel
-        # block by the check above
-        v = np.empty_like(ks)
+        # block by the check above.  Each v overwrites its used kernel block.
+        v = ks
         for p, u in enumerate(self.upper):
             v[p] = dtrtrs(u, ks[p].T, lower=0, trans=1)[0].T
-        var = np.clip(self.tf2[:, :, 0] - np.sum(v * v, axis=2), 0.0, None)
+        v *= v
+        var = np.clip(self.tf2[:, :, 0] - np.sum(v, axis=2), 0.0, None)
         y_mean = np.array([m.y_mean for m in self.models])[:, None]
         y_scale = np.array([m.y_scale for m in self.models])[:, None]
         return mu * y_scale + y_mean, np.sqrt(var) * y_scale
@@ -484,12 +492,16 @@ def train(t: np.ndarray, y: np.ndarray) -> GprModel:
     return train_many(t, y[:, None])[0]
 
 
-def weighted_sigma(models: list[GprModel], lambdas: np.ndarray, t_query: float) -> float:
-    """Energy-weighted posterior deviation: sum_k lam_k s_k / sum_all lam."""
+def energy_weighted(sigmas: np.ndarray, lambdas: np.ndarray) -> float:
+    """Energy-weighted posterior deviation sum_k lam_k s_k / sum_all lam, over
+    the R deviations ``sigmas`` of the leading modes."""
     lam = np.asarray(lambdas, dtype=float).ravel()
-    R = len(models)
-    sigs = np.array([m.predict(t_query)[1][0] for m in models])
-    return float((lam[:R] * sigs).sum() / lam.sum())
+    return float((lam[: len(sigmas)] * sigmas).sum() / lam.sum())
+
+
+def weighted_sigma(models: list[GprModel], lambdas: np.ndarray, t_query: float) -> float:
+    """``energy_weighted`` of the mode GPs' posterior deviations at ``t_query``."""
+    return energy_weighted(GprStack(models).predict(t_query)[1][:, 0], lambdas)
 
 
 @dataclass(frozen=True)
@@ -503,17 +515,15 @@ class GprHorizon:
 
 
 def _scan(
-    models, tM: float, scan_step: float, max_steps: int
+    stack: GprStack, tM: float, scan_step: float, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan times tM + n scan_step (n = 0..max_steps) and every model's
-    posterior mean and deviation there, one column per model; each model
-    predicts the whole scan in one kernel block and one triangular solve."""
+    """Scan times tM + n scan_step (n = 0..max_steps) and every stacked GP's
+    posterior mean and deviation there, one column per GP, from one
+    ``GprStack.predict`` call."""
     if scan_step <= 0:
         raise ValueError("scan_step must be positive")
     times = tM + np.arange(max_steps + 1) * scan_step
-    preds = [m.predict(times) for m in models]
-    mu = np.column_stack([p[0] for p in preds])
-    sd = np.column_stack([p[1] for p in preds])
+    mu, sd = (np.ascontiguousarray(a.T) for a in stack.predict(times))
     return times, mu, sd
 
 
@@ -537,7 +547,8 @@ def gpr_horizon_modes(
     eigenvalue; the scan stops at the first violating step.  A sign change
     driving the denominator to zero counts as a violation.
     """
-    times, mu, sd = _scan(models, tM, scan_step, max_steps)
+    stack = GprStack(models)
+    times, mu, sd = _scan(stack, tM, scan_step, max_steps)
     lam = np.asarray(lambdas, dtype=float).ravel()
     w = lam[: len(models)]
     den = (w * np.abs(mu)).sum(axis=1)
@@ -553,7 +564,7 @@ def gpr_horizon_modes(
     t_star = float(times[last])
     return GprHorizon(
         t_star,
-        weighted_sigma(models, lam, t_star),
+        energy_weighted(stack.predict(t_star)[1][:, 0], lam),
         at_data_end=last == 0,
         capped=last == max_steps,
     )
@@ -577,7 +588,7 @@ def gpr_horizon_boundary(
     max_steps: int = 1000,
 ) -> BoundaryHorizon:
     """Per-parameter sigma/|mu| horizon; the overall bound is the minimum."""
-    times, mu, sd = _scan(track_models, tM, scan_step, max_steps)
+    times, mu, sd = _scan(GprStack(track_models), tM, scan_step, max_steps)
     amu = np.abs(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = (amu < 1e-12) | (sd / amu > beta)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FMT, SnapshotSet, inner_product
+from .data import SnapshotSet, _read_matrix, inner_product, write_matrix
 
 __all__ = [
     "PodBasis",
@@ -200,9 +200,9 @@ def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> PodHorizo
 def save_pod_basis(b: PodBasis, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "eigenvalues.csv", b.eigenvalues[:, None], fmt=FMT, delimiter=",")
-    np.savetxt(out / "modes.csv", b.modes[: b.retained], fmt=FMT, delimiter=",")
-    np.savetxt(out / "coeffs.csv", b.coeffs[:, : b.retained], fmt=FMT, delimiter=",")
+    write_matrix(out / "eigenvalues.csv", b.eigenvalues)
+    write_matrix(out / "modes.csv", b.modes[: b.retained])
+    write_matrix(out / "coeffs.csv", b.coeffs[:, : b.retained])
     with open(out / "pod.json", "w") as fh:
         json.dump(
             {"retained": b.retained, "rrms_tail": b.rrms_tail},
@@ -218,9 +218,9 @@ def load_pod_basis(in_dir: str | Path) -> PodBasis:
     with open(src / "pod.json") as fh:
         meta = json.load(fh)
     return PodBasis(
-        eigenvalues=np.loadtxt(src / "eigenvalues.csv", delimiter=",").ravel(),
-        modes=np.loadtxt(src / "modes.csv", delimiter=",", ndmin=2),
+        eigenvalues=_read_matrix(src / "eigenvalues.csv").ravel(),
+        modes=_read_matrix(src / "modes.csv"),
         retained=int(meta["retained"]),
-        coeffs=np.loadtxt(src / "coeffs.csv", delimiter=",", ndmin=2),
+        coeffs=_read_matrix(src / "coeffs.csv"),
         rrms_tail=float(meta["rrms_tail"]),
     )

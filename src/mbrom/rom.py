@@ -20,12 +20,13 @@ import numpy as np
 
 from . import pod as _pod
 from .data import (
-    FMT,
     BoundaryTrack,
     SnapshotSet,
     SpatialGrid,
+    _read_matrix,
     fill_occluded,
     inner_product,
+    write_matrix,
 )
 from .gpr import (
     BoundaryHorizon,
@@ -33,6 +34,7 @@ from .gpr import (
     GprModel,
     GprStack,
     GprTolerances,
+    energy_weighted,
     gpr_horizon_boundary,
     gpr_horizon_modes,
     load_gpr_model,
@@ -289,8 +291,7 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
 
     coeffs, sigmas, gamma = m.posterior(t_query)
     field_values = _pod.reconstruct(m.basis, m.mean, coeffs)
-    lam = m.basis.eigenvalues
-    sigma_w = float((lam[: len(sigmas)] * sigmas).sum() / lam.sum())
+    sigma_w = energy_weighted(sigmas, m.basis.eigenvalues)
     eps_pod = float(np.sqrt(m.basis.tail_energy()))
 
     corrected_nodes = None
@@ -436,15 +437,9 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
     gdir.mkdir(exist_ok=True)
     for k, mm in enumerate(m.mode_models):
         save_gpr_model(mm, gdir / f"mode_{k}.json")
-    np.savetxt(out / "mean.csv", m.mean[:, None], fmt=FMT, delimiter=",")
-    gmat = np.column_stack([m.grid.coords, m.grid.quad_weights])
-    np.savetxt(out / "grid.csv", gmat, fmt=FMT, delimiter=",")
-    np.savetxt(
-        out / "window_all_fluid.csv",
-        m.window_all_fluid.astype(int)[:, None],
-        fmt="%d",
-        delimiter=",",
-    )
+    write_matrix(out / "mean.csv", m.mean)
+    write_matrix(out / "grid.csv", np.column_stack([m.grid.coords, m.grid.quad_weights]))
+    write_matrix(out / "window_all_fluid.csv", m.window_all_fluid.astype(int), fmt="%d")
     meta = {
         "schema_version": SCHEMA_VERSION,
         "field_name": m.field_name,
@@ -523,13 +518,11 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     mode_models = [
         load_gpr_model(src / "gpr" / f"mode_{k}.json") for k in range(basis.retained)
     ]
-    gmat = np.atleast_2d(np.loadtxt(src / "grid.csv", delimiter=","))
+    gmat = _read_matrix(src / "grid.csv")
     dim = gmat.shape[1] - 1
     grid = SpatialGrid(dim=dim, coords=gmat[:, :dim], quad_weights=gmat[:, dim])
-    mean = np.loadtxt(src / "mean.csv", delimiter=",").ravel()
-    window_all_fluid = (
-        np.loadtxt(src / "window_all_fluid.csv", delimiter=",").ravel() > 0.5
-    )
+    mean = _read_matrix(src / "mean.csv").ravel()
+    window_all_fluid = _read_matrix(src / "window_all_fluid.csv").ravel() > 0.5
     boundary = None
     boundary_models = None
     horizon_gamma = None

@@ -3,6 +3,8 @@ of a fresh process."""
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +164,53 @@ class TestForecast:
         ])
         assert rc == 0
         assert json.loads((out / "summary.json").read_text())["forced"]
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; nothing carries from one
+    call to the next."""
+
+    def test_error_then_forecasts_without_carried_flags(
+        self, built_model, tmp_path, capsys
+    ):
+        ds, model = built_model
+        report = json.loads((model / "report.json").read_text())
+        t_beyond = str(report["t_star"] + 0.1)
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", str(model), "--t", "0.5", "--bogus"])
+        assert exc.value.code == 2
+        out = [tmp_path / f"fc{i}" for i in range(3)]
+        assert main([
+            "forecast", str(model), "--t", t_beyond, "--force", "--out", str(out[0]),
+        ]) == 0
+        assert json.loads((out[0] / "summary.json").read_text())["forced"]
+        assert main([
+            "forecast", str(model), "--t", "0.5", "--truth", str(ds), "--out", str(out[1]),
+        ]) == 0
+        assert "relative_error" in json.loads((out[1] / "summary.json").read_text())
+        capsys.readouterr()
+        # neither --force nor --truth carries over
+        assert main(["forecast", str(model), "--t", t_beyond, "--out", str(out[2])]) == 2
+        assert "t*" in capsys.readouterr().err
+        assert main(["forecast", str(model), "--t", "0.5", "--out", str(out[2])]) == 0
+        summary = json.loads((out[2] / "summary.json").read_text())
+        assert "relative_error" not in summary and not summary["forced"]
+        assert capsys.readouterr().out == (out[2] / "summary.json").read_text()
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("name", ["pod/modes.csv", "mean.csv"])
+    def test_non_numeric_entry_names_the_file(self, built_model, tmp_path, capsys, name):
+        _, model = built_model
+        bad = tmp_path / "model"
+        shutil.copytree(model, bad)
+        lines = (bad / name).read_text().splitlines(keepends=True)
+        lines[1] = re.sub(r"^[^,\n]*", "x", lines[1])  # the row's first entry
+        (bad / name).write_text("".join(lines))
+        rc = main(["forecast", str(bad), "--t", "0.5", "--out", str(tmp_path / "fc")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{Path(name).name}: non-numeric entry at row 2" in err
 
 
 class TestHorizon:

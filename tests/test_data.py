@@ -22,11 +22,13 @@ from mbrom.data import (
     inner_product,
     load_snapshots,
     _PAD,
+    _balls,
     _nearest,
     _parse_matrix,
     _read_matrix,
     _tree,
     save_dataset,
+    write_matrix,
 )
 
 
@@ -162,6 +164,12 @@ class TestLoadSnapshots:
         write_dataset(tmp_path, [[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
         (tmp_path / "fields.csv").write_text("1.0,2.0\nx,4.0\n")
         with pytest.raises(ValueError, match=r"fields\.csv.*row 2"):
+            load_snapshots(tmp_path)
+
+    def test_undecodable_byte_reports_file_and_row(self, tmp_path):
+        write_dataset(tmp_path, [[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
+        (tmp_path / "fields.csv").write_bytes(b"1.0,2.0\n\xff,4.0\n")
+        with pytest.raises(ValueError, match=r"fields\.csv: non-numeric entry at row 2"):
             load_snapshots(tmp_path)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -365,6 +373,86 @@ class TestNearest:
         # the origin row alone, at k = 1 and 4: its k + _PAD candidates all
         # sit on the ring; at k >= 5 the query reaches past it
         assert calls == [1, 1]
+
+
+class TestBalls:
+    """``_balls`` (ball sizes, then one k-nearest query out to the largest
+    radius) against an integer brute force."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]))
+    def test_lattice_matches_brute_force(self, data, dim):
+        # nodes on an integer lattice, targets on the half lattice, and radii
+        # (half units) that often fall exactly on a distance: membership is
+        # decided in integers, with no rounding
+        side = data.draw(st.integers(2, 7))
+        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        nodes = cells[np.flatnonzero(keep)] if sum(keep) else cells[:1]
+        T = data.draw(st.integers(1, 12))
+        halves = np.array(data.draw(st.lists(
+            st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
+            min_size=T, max_size=T,
+        )))
+        reach2 = np.array(data.draw(st.lists(
+            st.integers(0, 4 * (side + 2) ** 2), min_size=T, max_size=T
+        )))
+        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        pts, targets = scale * nodes, scale * 0.5 * halves
+        r = scale * 0.5 * np.sqrt(reach2)
+        for tree in (_tree(pts), cKDTree(pts)):
+            idx, d2 = _balls(tree, pts, targets, r)
+            for row in range(T):
+                inside = np.flatnonzero(
+                    np.sum((2 * nodes - halves[row]) ** 2, axis=1) <= reach2[row]
+                )
+                exact = np.sum((pts[inside] - targets[row]) ** 2, axis=1)
+                order = np.lexsort((inside, exact))
+                n = inside.size
+                np.testing.assert_array_equal(idx[row, :n], inside[order])
+                assert d2[row, :n].tobytes() == exact[order].tobytes()
+                assert np.all(d2[row, n:] == np.inf)
+
+
+class TestWriteMatrix:
+    """``write_matrix`` writes the bytes of ``np.savetxt``."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, np.inf,
+               -np.inf, np.nan, 1.0 / 3.0, -1e300]
+
+    @staticmethod
+    def same_bytes(mat, fmt, header=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            write_matrix(ours, mat, fmt=fmt, header=header)
+            np.savetxt(ref, mat, fmt=fmt, delimiter=",", comments="",
+                       header="" if header is None else header)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cols=st.sampled_from([1, 2, 3, 7, 4095, 4096, 4097, 5000]),
+        data=st.data(),
+        header=st.sampled_from([None, "t,a_1"]),
+    )
+    def test_floats_match_savetxt(self, seed, cols, data, header):
+        # up to ~5 blocks of 4096 values: row counts that cross a block edge,
+        # single rows, zero rows and rows wider than a block
+        rows = data.draw(st.integers(0, max(1, 20000 // cols)))
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-320, 300, (rows, cols))
+        special = rng.random((rows, cols)) < 0.2
+        mat[special] = rng.choice(self.SPECIAL, int(special.sum()))
+        self.same_bytes(mat, FMT, header)
+        if cols == 1:
+            self.same_bytes(mat[:, 0], FMT, header)  # 1-D: one column
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (0, 3), (1, 4), (4099, 1), (3, 5000)])
+    def test_ints_match_savetxt(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.same_bytes(rng.integers(-(10**15), 10**15, shape), "%d")
+        self.same_bytes((rng.random(shape) < 0.5).astype(int), "%d")
 
 
 class TestNonFiniteInput:

@@ -301,35 +301,33 @@ class TestStack:
             assert a.boundary_values == b.boundary_values
 
 
-class _StubModel:
-    """Fixed posterior used to exercise the horizon arithmetic."""
-
-    def __init__(self, mu, sigma):
-        self.mu, self.sigma = mu, sigma
-
-    def predict(self, tq):
-        n = np.atleast_1d(tq).shape[0]
-        return np.full(n, self.mu), np.full(n, self.sigma)
+def _fixed_posterior(mu, sigma):
+    """A GP whose posterior is exactly mean ``mu`` and deviation ``sigma`` at
+    every time from 0 on, to exercise the horizon arithmetic: its training
+    times lie so far back that the kernel vanishes there, and the prior
+    (theta_f = 1, scaled by y_scale = sigma) holds."""
+    t = np.array([-13.0, -12.0, -11.0, -10.0])
+    return GprModel(Kernel(1.0, 1e3), 0.0, t, np.full(4, mu), y_scale=sigma)
 
 
 class TestHorizonModes:
     def test_reference_ratio_permitted(self):
         # lambdas [4,1], sigmas [.1,.2], means [2,1]: ratio 0.6/9 ~ 0.0667
-        models = [_StubModel(2.0, 0.1), _StubModel(1.0, 0.2)]
+        models = [_fixed_posterior(2.0, 0.1), _fixed_posterior(1.0, 0.2)]
         lam = np.array([4.0, 1.0])
         h = gpr_horizon_modes(models, lam, tM=1.0, beta=0.1, scan_step=0.1,
                               max_steps=50)
         assert h.capped and h.t_star == pytest.approx(1.0 + 50 * 0.1)
 
     def test_reference_ratio_violated(self):
-        models = [_StubModel(2.0, 0.1), _StubModel(1.0, 0.2)]
+        models = [_fixed_posterior(2.0, 0.1), _fixed_posterior(1.0, 0.2)]
         lam = np.array([4.0, 1.0])
         with pytest.warns(UserWarning, match="first scan step"):
             h = gpr_horizon_modes(models, lam, tM=1.0, beta=0.05, scan_step=0.1)
         assert h.at_data_end and h.t_star == 1.0
 
     def test_weighted_sigma_reference(self):
-        models = [_StubModel(2.0, 0.1), _StubModel(1.0, 0.2)]
+        models = [_fixed_posterior(2.0, 0.1), _fixed_posterior(1.0, 0.2)]
         lam = np.array([4.0, 1.0])
         assert weighted_sigma(models, lam, 0.0) == pytest.approx(0.12)
         # padding the spectrum changes only the normalization
@@ -363,21 +361,17 @@ class TestHorizonBoundary:
         assert h.t_star >= 1.0 + 10 * 0.1
 
     def test_min_rule(self):
-        quiet = _StubModel(1.0, 0.001)
-        noisy = _StubModel(1.0, 0.001)
-        # make the noisy one violate immediately after 3 steps
-        class _Ramp:
-            def predict(self, tq):
-                tq = np.atleast_1d(tq)
-                return np.ones(tq.shape[0]), np.where(tq > 1.3, 1.0, 0.001)
-
-        h = gpr_horizon_boundary([quiet, _Ramp()], tM=1.0, beta=0.1,
+        quiet = _fixed_posterior(1.0, 0.001)
+        # mean 1, deviation ~1e-5 at its training times 1.0..1.3 and ~1 from
+        # 1.4 on: the ramp violates after 3 steps
+        ramp = GprModel(Kernel(1.0, 100.0), 0.0, [1.0, 1.1, 1.2, 1.3], np.ones(4))
+        h = gpr_horizon_boundary([quiet, ramp], tM=1.0, beta=0.1,
                                  scan_step=0.1, max_steps=50)
         assert h.t_star == pytest.approx(1.3)
         assert h.per_param[0] > h.per_param[1]
 
     def test_zero_mean_counts_as_violation(self):
-        zero = _StubModel(0.0, 0.001)
+        zero = _fixed_posterior(0.0, 0.001)
         with pytest.warns(UserWarning):
             h = gpr_horizon_boundary([zero], tM=0.0, beta=0.5, scan_step=0.1)
         assert h.t_star == 0.0 and h.at_data_end

@@ -25,15 +25,18 @@ from mbrom.benchmarks import (
 from mbrom.gpr import (
     JITTER0,
     LOG_BOUNDS,
+    GprStack,
     Kernel,
+    _scan,
     gpr_horizon_boundary,
     gpr_horizon_modes,
     kernel_matrix,
     nlml,
     train,
     train_many,
+    weighted_sigma,
 )
-from mbrom.rom import build, save_rom_model
+from mbrom.rom import build, forecast, save_rom_model
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 GATE = 1e-6
@@ -337,6 +340,31 @@ class TestHorizonScanOracle:
                     m.boundary_models, m.tM, beta, m.scan_step
                 )
                 assert got == want
+
+    @pytest.mark.parametrize("name", ["cavity-nr270", "disk"])
+    def test_stacked_posteriors_equal_per_gp_predictions(self, models, name):
+        # the scans, weighted_sigma and forecast predict through one GprStack;
+        # each GP's column is the bits of its own GprModel.predict
+        m = models(name)
+        for gps in (m.mode_models, m.boundary_models):
+            times, mu, sd = _scan(GprStack(gps), m.tM, m.scan_step, 1000)
+            solo = [gp.predict(times) for gp in gps]
+            assert mu.tobytes() == np.column_stack([p[0] for p in solo]).tobytes()
+            assert sd.tobytes() == np.column_stack([p[1] for p in solo]).tobytes()
+        lam = m.basis.eigenvalues
+        R = m.basis.retained
+
+        def per_gp(t):
+            sigs = np.array([gp.predict(t)[1][0] for gp in m.mode_models])
+            return float((lam[:R] * sigs).sum() / lam.sum())
+
+        t_a = m.horizon_gpr_a.t_star
+        assert m.horizon_gpr_a.sigma_weighted == per_gp(t_a)
+        for t in (m.tM, t_a, m.tM + 2.5 * m.scan_step, m.t_star + 1.0):
+            assert weighted_sigma(m.mode_models, lam, t) == per_gp(t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert forecast(m, t, force=True).sigma_weighted == per_gp(t)
 
     def test_built_horizons_equal_scalar_scans(self, models):
         for name in ("burgers-re500", "cavity-nr270", "disk"):
