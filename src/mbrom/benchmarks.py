@@ -30,16 +30,17 @@ class BurgersConfig:
 
     reynolds: float = 100.0
     nx: int = 1001
-    dx: float = 1e-3
-    dt: float = 1e-2
 
     def __post_init__(self):
         if self.reynolds <= 0:
             raise ValueError("Reynolds number must be positive")
-        if self.nx < 2 or self.dx <= 0 or self.dt <= 0:
+        if self.nx < 2:
             raise ValueError("invalid discretization")
-        if abs(self.dx * (self.nx - 1) - 1.0) > 1e-9:
-            raise ValueError("dx*(nx-1) must span [0,1]")
+
+    @property
+    def dx(self) -> float:
+        """Grid spacing: nx nodes span [0, 1]."""
+        return 1.0 / (self.nx - 1)
 
     @property
     def t0(self) -> float:

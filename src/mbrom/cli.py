@@ -2,12 +2,13 @@
 
 Subcommands: ``gen`` (benchmark datasets), ``build`` (ROM construction),
 ``forecast``, ``horizon``, ``bench`` (result-table suites) and ``adaptive``
-(solver/ROM alternation on the Burgers closed form).  Flag values win over
-the optional JSON config file, which wins over defaults; the seed can also
-come from the MBROM_SEED environment variable.  ``build`` records the seed in
-report.json, but GP training is deterministic and does not use it.  Exit
-codes: 0 success, 1 input or validation error, 2 forecast beyond the
-certified horizon without --force.
+(solver/ROM alternation on the Burgers closed form).  For ``gen``, ``build``
+and ``adaptive``, flag values win over the optional JSON config file
+(``--config``).  An option set by neither is not passed on, so the library's
+own default applies: the dataclasses ``PodThresholds``, ``GprTolerances``,
+``MlsConfig``, ``BurgersConfig`` and ``BubbleConfig``, and ``build``'s
+``fill_order``.  Exit codes: 0 success, 1 input or validation error, 2
+forecast beyond the certified horizon without --force.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -52,21 +52,38 @@ def _json_dump(payload, path: Path) -> str:
     return text
 
 
-def _resolve(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+# The fixture windows (t1, tM, M): what ``gen`` writes unless told otherwise,
+# and what the bench suites build from.
+_BURGERS_WINDOW = (0.3, 0.5, 20)
+_BUBBLE_WINDOW = (51.0, 60.0, 10)
+
+# integer options, which a config file may give as floats (20.0)
+_INTS = frozenset({"nx", "nr", "m", "mls_order", "fill_order"})
 
 
-def _seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
-    return int(os.environ.get("MBROM_SEED", "0"))
+def _resolve(args, config: dict, key: str, default=None):
+    """The option's flag, else its config-file value, else ``default``."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = config.get(key, default)
+    return int(value) if value is not None and key in _INTS else value
+
+
+def _given(args, config: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the options that a flag or the config file sets.
+
+    ``keys`` are passed under their own name; ``renamed`` maps a library
+    parameter to the option that sets it.  Unset options are left out, so
+    the library's default applies.
+    """
+    params = {key: key for key in keys} | renamed
+    values = {param: _resolve(args, config, key) for param, key in params.items()}
+    return {param: v for param, v in values.items() if v is not None}
+
+
+def _window(args, config: dict, default: tuple) -> tuple:
+    """(t1, tM, M) from ``--t1``, ``--tm`` and ``--m``, else ``default``."""
+    return tuple(_resolve(args, config, k, d) for k, d in zip(("t1", "tm", "m"), default))
 
 
 def _load_config(args) -> dict:
@@ -80,17 +97,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _thresholds(args, config) -> tuple[PodThresholds, GprTolerances, MlsConfig]:
-    thr = PodThresholds(
-        alpha_pod=_resolve(args, config, "alpha_pod", 0.01),
-        beta_pod=_resolve(args, config, "beta_pod", 0.3),
+def _thresholds(args, config) -> tuple[PodThresholds, GprTolerances]:
+    return (
+        PodThresholds(**_given(args, config, "alpha_pod", "beta_pod")),
+        GprTolerances(**_given(args, config, "beta_gpr_a", "beta_gpr_gamma")),
     )
-    tol = GprTolerances(
-        beta_gpr_a=_resolve(args, config, "beta_gpr_a", 0.1),
-        beta_gpr_gamma=_resolve(args, config, "beta_gpr_gamma", 0.1),
-    )
-    mls = MlsConfig(order=int(_resolve(args, config, "mls_order", 3)))
-    return thr, tol, mls
 
 
 def _horizons(model) -> dict:
@@ -116,25 +127,13 @@ def cmd_gen(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     if args.benchmark == "burgers":
-        cfg = bench_mod.BurgersConfig(
-            reynolds=_resolve(args, config, "re", 100.0),
-            nx=int(_resolve(args, config, "nx", 1001)),
-            dx=1.0 / (int(_resolve(args, config, "nx", 1001)) - 1),
-        )
-        t1 = _resolve(args, config, "t1", 0.3)
-        tm = _resolve(args, config, "tm", 0.5)
-        m = int(_resolve(args, config, "m", 20))
-        snaps = bench_mod.burgers_snapshots(cfg, t1, tm, m)
+        cfg = bench_mod.BurgersConfig(**_given(args, config, "nx", reynolds="re"))
+        window = _window(args, config, _BURGERS_WINDOW)
+        snaps = bench_mod.burgers_snapshots(cfg, *window)
     else:
-        cfg = bench_mod.BubbleConfig(
-            amplitude=_resolve(args, config, "amplitude", 0.12),
-            omega=_resolve(args, config, "omega", 0.1),
-            nr=int(_resolve(args, config, "nr", 270)),
-        )
-        t1 = _resolve(args, config, "t1", 51.0)
-        tm = _resolve(args, config, "tm", 60.0)
-        m = int(_resolve(args, config, "m", 10))
-        snaps, _ = bench_mod.bubble_snapshots(cfg, t1, tm, m)
+        cfg = bench_mod.BubbleConfig(**_given(args, config, "amplitude", "omega", "nr"))
+        window = _window(args, config, _BUBBLE_WINDOW)
+        snaps, _ = bench_mod.bubble_snapshots(cfg, *window)
     manifest = save_dataset(snaps, out)
     print(f"wrote {manifest.parent}")
     return 0
@@ -142,16 +141,15 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     config = _load_config(args)
-    thr, tol, mls = _thresholds(args, config)
-    seed = _seed(args, config)
+    thr, tol = _thresholds(args, config)
+    mls = _given(args, config, order="mls_order")
     snaps = load_snapshots(args.dataset)
     model = build(
         snaps,
         thresholds=thr,
         tolerances=tol,
-        mls_cfg=mls,
-        fill_order=int(_resolve(args, config, "fill_order", 0)),
-        seed=seed,
+        mls_cfg=MlsConfig(**mls) if mls else None,
+        **_given(args, config, "fill_order"),
     )
     out = Path(args.out)
     save_rom_model(model, out)
@@ -165,7 +163,6 @@ def cmd_build(args) -> int:
             for m in model.mode_models
         ],
         **_horizons(model),
-        "seed": seed,
     }
     _json_dump(report, out / "report.json")
     print(f"R={report['R']}  t*={report['t_star']:.6g}  ({report['binding']})")
@@ -173,7 +170,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    config = _load_config(args)
     model = load_rom_model(args.model)
     fc = forecast(model, args.t, force=args.force)
     out = Path(args.out)
@@ -240,7 +236,7 @@ def cmd_horizon(args) -> int:
 
 def _burgers(re: float):
     cfg = bench_mod.BurgersConfig(reynolds=re)
-    snaps = bench_mod.burgers_snapshots(cfg, 0.3, 0.5, 20)
+    snaps = bench_mod.burgers_snapshots(cfg, *_BURGERS_WINDOW)
     return cfg, snaps, bench_mod.burgers_exact(snaps.grid.coords[:, 0], 0.6, cfg)
 
 
@@ -256,10 +252,7 @@ def _bench_burgers_sweep(out: Path) -> None:
                 pod_mod.truncate_to(basis, r), snaps.mean, coeffs[:r]
             )
             rows.append((re, r, relative_error(field, truth, snaps.grid)))
-    with open(out / "burgers_sweep.csv", "w") as fh:
-        fh.write("re,r,rel_error\n")
-        for re, r, err in rows:
-            fh.write(f"{re:g},{r},{FMT % err}\n")
+    write_matrix(out / "burgers_sweep.csv", np.array(rows), header="re,r,rel_error")
 
 
 def _bench_error_growth(out: Path) -> None:
@@ -301,15 +294,14 @@ def _bench_galerkin_compare(out: Path) -> None:
                 relative_error(field_gal, truth, snaps.grid),
             )
         )
-    with open(out / "galerkin_compare.csv", "w") as fh:
-        fh.write("re,r,err_gpr,err_galerkin\n")
-        for re, r, eg, el in rows:
-            fh.write(f"{re:g},{r},{FMT % eg},{FMT % el}\n")
+    write_matrix(
+        out / "galerkin_compare.csv", np.array(rows), header="re,r,err_gpr,err_galerkin"
+    )
 
 
 def _bench_bubble(out: Path) -> None:
     cfg = bench_mod.BubbleConfig()
-    snaps, _ = bench_mod.bubble_snapshots(cfg, 51.0, 60.0, 10)
+    snaps, _ = bench_mod.bubble_snapshots(cfg, *_BUBBLE_WINDOW)
     model = build(snaps)
     t_query = 64.0
     fc = forecast(model, t_query, force=True)
@@ -364,21 +356,19 @@ def cmd_bench(args) -> int:
 
 def cmd_adaptive(args) -> int:
     config = _load_config(args)
-    seed = _seed(args, config)
-    re = _resolve(args, config, "re", 100.0)
-    m = int(_resolve(args, config, "m", 20))
+    # the first solver window starts and is sized as the fixture window
+    t1, _, m = _BURGERS_WINDOW
+    m = _resolve(args, config, "m", m)
     dt = _resolve(args, config, "dt", 0.01)
-    t_start = _resolve(args, config, "t_start", 0.3)
+    t_start = _resolve(args, config, "t_start", t1)
     t_target = _resolve(args, config, "t_target", 1.2)
-    cfg = bench_mod.BurgersConfig(reynolds=re)
+    cfg = bench_mod.BurgersConfig(**_given(args, config, reynolds="re"))
 
     def solver(state, t0, n):
         return bench_mod.burgers_snapshots(cfg, t0, t0 + (n - 1) * dt, n)
 
-    thr, tol, _ = _thresholds(args, config)
-    forecasts, log = adaptive_loop(
-        solver, m, thr, tol, t_target, t_start, seed=seed
-    )
+    thr, tol = _thresholds(args, config)
+    forecasts, log = adaptive_loop(solver, m, thr, tol, t_target, t_start)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     x = cfg.grid().coords[:, 0]
@@ -410,8 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add_config(sp):
         sp.add_argument("--config", help="JSON config file (flags take precedence)")
+
+    def add_seed(sp):
+        # accepted and ignored (GP training is deterministic); it stays
+        # because the benchmark (perfbench/workloads.py) passes --seed 0
         sp.add_argument("--seed", type=int, default=None)
 
     g = sub.add_parser("gen", help="generate a benchmark dataset")
@@ -425,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tm", "--tM", dest="tm", type=float, default=None)
     g.add_argument("--m", type=int, default=None)
     g.add_argument("--out", required=True)
-    common(g)
+    add_config(g)
     g.set_defaults(func=cmd_gen)
 
     b = sub.add_parser("build", help="build a ROM from a dataset directory")
@@ -437,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--beta-gpr-gamma", dest="beta_gpr_gamma", type=float, default=None)
     b.add_argument("--mls-order", dest="mls_order", type=int, default=None)
     b.add_argument("--fill-order", dest="fill_order", type=int, default=None)
-    common(b)
+    add_config(b)
+    add_seed(b)
     b.set_defaults(func=cmd_build)
 
     f = sub.add_parser("forecast", help="forecast from a saved ROM")
@@ -446,13 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--force", action="store_true")
     f.add_argument("--truth", help="dataset directory with a snapshot at t")
     f.add_argument("--out", required=True)
-    common(f)
+    add_seed(f)
     f.set_defaults(func=cmd_forecast)
 
     h = sub.add_parser("horizon", help="print the forecast horizons of a model")
     h.add_argument("model")
     h.add_argument("--out")
-    common(h)
     h.set_defaults(func=cmd_horizon)
 
     bn = sub.add_parser("bench", help="run a benchmark suite")
@@ -461,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["burgers-sweep", "bubble", "galerkin-compare", "error-growth"],
     )
     bn.add_argument("--out", required=True)
-    common(bn)
     bn.set_defaults(func=cmd_bench)
 
     a = sub.add_parser("adaptive", help="alternate Burgers solver and ROM")
@@ -474,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--beta-pod", dest="beta_pod", type=float, default=None)
     a.add_argument("--beta-gpr-a", dest="beta_gpr_a", type=float, default=None)
     a.add_argument("--out", required=True)
-    common(a)
+    add_config(a)
     a.set_defaults(func=cmd_adaptive)
     return p
 

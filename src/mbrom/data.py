@@ -208,10 +208,6 @@ class SnapshotSet:
             out &= m.fluid
         return out
 
-    def occluded_union(self) -> np.ndarray:
-        """Nodes occluded in at least one snapshot (swept-over region)."""
-        return ~self.fluid_throughout()
-
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid: SpatialGrid) -> float:
     """Discrete L2 inner product sum_j f_j g_j w_j on the grid."""

@@ -34,8 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
 from .data import FMT, SpatialGrid, _balls, _nearest, _poly_terms, _shape_functions, _tree
@@ -48,7 +46,6 @@ __all__ = [
     "correct_field",
     "StencilCache",
     "LEBESGUE_WARN",
-    "WEIGHTS",
 ]
 
 # A corrected node whose shape functions sum to more than this in absolute
@@ -62,13 +59,10 @@ def wendland_c2(q: np.ndarray) -> np.ndarray:
     return np.where(q < 1.0, (1.0 - q) ** 4 * (4.0 * q + 1.0), 0.0)
 
 
-# weights a saved model may name
-WEIGHTS = {"wendland_c2": wendland_c2}
-
-
 @dataclass(frozen=True)
 class MlsConfig:
-    """Polynomial degree, support radius and neighbor requirements.
+    """Polynomial degree, support radius and neighbor requirements; the
+    weight is always ``wendland_c2``.
 
     ``kernel_len`` of None lets ``correct_field`` seed the radius from the
     grid spacing.  ``min_neighbor_factor`` times the number of polynomial
@@ -79,7 +73,6 @@ class MlsConfig:
 
     order: int = 3
     kernel_len: float | None = None
-    weight: Callable[[np.ndarray], np.ndarray] = wendland_c2
     min_neighbor_factor: float = 6.0
     max_growths: int = 8
 
@@ -90,12 +83,6 @@ class MlsConfig:
             raise ValueError("kernel length must be positive")
         if self.min_neighbor_factor < 1:
             raise ValueError("min_neighbor_factor must be >= 1")
-        q = np.linspace(0.0, 0.999, 40)
-        w = np.asarray(self.weight(q), dtype=float)
-        if np.any(w <= 0) or np.any(np.diff(w) > 1e-12):
-            raise ValueError("weight must be positive and nonincreasing on [0,1)")
-        if np.any(np.asarray(self.weight(np.array([1.0, 1.3]))) != 0.0):
-            raise ValueError("weight must vanish for q >= 1")
 
     def n_terms(self, dim: int) -> int:
         return len(_poly_terms(dim, self.order))
@@ -135,7 +122,7 @@ def mls_value(
     d = np.sqrt(np.sum((points - xp) ** 2, axis=1))
     if np.any(d >= h):
         raise ValueError("neighbor outside the support radius")
-    w = np.asarray(cfg.weight(d / h), dtype=float)
+    w = wendland_c2(d / h)
     shape = _shape_functions((points - xp) / h, w, np.array([points.shape[0]]), cfg.order)
     return float(np.sum(shape * values))
 
@@ -219,7 +206,7 @@ class StencilCache:
         counts = inside.sum(axis=1)
         hk = np.repeat(h, counts)
         offsets = (self.hist_pts[sel] - np.repeat(xp, counts, axis=0)) / hk[:, None]
-        shape = _shape_functions(offsets, cfg.weight(d / hk), counts, cfg.order)
+        shape = _shape_functions(offsets, wendland_c2(d / hk), counts, cfg.order)
         first = np.cumsum(counts) - counts
         self.start[nodes] = self.shape.size + first
         self.count[nodes] = counts

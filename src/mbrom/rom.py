@@ -42,7 +42,7 @@ from .gpr import (
     train,  # noqa: F401  perfbench/spans.py wraps mbrom.rom.train by name
     train_many,
 )
-from .mls import WEIGHTS, CorrectionReport, MlsConfig, StencilCache, correct_field
+from .mls import CorrectionReport, MlsConfig, StencilCache, correct_field
 from .pod import PodBasis, PodHorizon, PodThresholds
 
 __all__ = [
@@ -132,12 +132,9 @@ class RomModel:
         gamma = mu[R:, 0] if self.boundary_models is not None else None
         return mu[:R, 0], sd[:R, 0], gamma
 
-    def predict_boundary(self, t_query: float) -> np.ndarray | None:
-        return self.posterior(t_query)[2]
-
     def fluid_mask_at(self, t_query: float) -> np.ndarray | None:
         """Predicted fluid mask at the query time, from the boundary GPs."""
-        return self._fluid_mask(self.predict_boundary(t_query))
+        return self._fluid_mask(self.posterior(t_query)[2])
 
     def _fluid_mask(self, gamma: np.ndarray | None) -> np.ndarray | None:
         if gamma is None or self.boundary_geometry is None:
@@ -184,7 +181,8 @@ def build(
     and the boundary GPs bound the forecast through their own horizon.
     Under the ``"radius"`` geometry every snapshot's mask must be the rule's
     (fluid where the node radius is at least the first boundary parameter).
-    ``seed`` is accepted and ignored: training is deterministic.
+    ``seed`` is accepted and ignored: training is deterministic.  It stays
+    because the benchmark (``perfbench/workloads.py``) passes ``seed=0``.
     """
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
@@ -369,7 +367,6 @@ def adaptive_loop(
     t_target: float,
     t_start: float,
     state0: np.ndarray | None = None,
-    seed: int = 0,
 ) -> tuple[list[RomForecast], list[HandoffRecord]]:
     """Alternate solver windows with ROM forecasts until the target time.
 
@@ -378,8 +375,7 @@ def adaptive_loop(
     whichever is earlier); the forecast becomes the next round's initial
     state.  A round whose horizon offers no extrapolation falls back to
     plain solver continuation from its last snapshot; two such rounds in a
-    row abort the loop.  ``seed`` is passed on to ``build``, which ignores
-    it.
+    row abort the loop.
     """
     forecasts: list[RomForecast] = []
     log: list[HandoffRecord] = []
@@ -390,7 +386,7 @@ def adaptive_loop(
     while True:
         round_index += 1
         snaps = solver(state, t0, window)
-        model = build(snaps, thresholds, tolerances, seed=seed)
+        model = build(snaps, thresholds, tolerances)
         if t_target <= model.tM:
             break
         t_star = model.t_star
@@ -433,7 +429,7 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _pod.save_pod_basis(m.basis, out / "pod")
-    gdir = out / "gpr"
+    gdir = out / "gpr"  # perfbench/selftest.py edits train_y in gpr/mode_0.json
     gdir.mkdir(exist_ok=True)
     for k, mm in enumerate(m.mode_models):
         save_gpr_model(mm, gdir / f"mode_{k}.json")
@@ -462,20 +458,13 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         ),
     }
     if m.mls_cfg is not None:
-        weight = getattr(m.mls_cfg.weight, "__name__", repr(m.mls_cfg.weight))
         meta["mls"] = {
             "order": m.mls_cfg.order,
             "kernel_len": m.mls_cfg.kernel_len,
             "min_neighbor_factor": m.mls_cfg.min_neighbor_factor,
             "max_growths": m.mls_cfg.max_growths,
-            "weight": weight,
+            "weight": "wendland_c2",
         }
-        if WEIGHTS.get(weight) is not m.mls_cfg.weight:
-            warnings.warn(
-                f"MLS weight {weight!r} is not one of {sorted(WEIGHTS)}; the "
-                "saved model will not load",
-                stacklevel=2,
-            )
     if m.boundary_models is not None:
         bdir = out / "boundary"
         bdir.mkdir(exist_ok=True)
@@ -543,15 +532,14 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     mls_cfg = None
     if "mls" in meta:
         weight = meta["mls"].get("weight", "wendland_c2")
-        if weight not in WEIGHTS:
+        if weight != "wendland_c2":
             raise ValueError(
                 f"{src / 'model.json'}: unknown MLS weight {weight!r}; "
-                f"known weights are {sorted(WEIGHTS)}"
+                "the one known weight is 'wendland_c2'"
             )
         mls_cfg = MlsConfig(
             order=meta["mls"]["order"],
             kernel_len=meta["mls"]["kernel_len"],
-            weight=WEIGHTS[weight],
             min_neighbor_factor=meta["mls"]["min_neighbor_factor"],
             max_growths=meta["mls"]["max_growths"],
         )

@@ -14,6 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
 from mbrom.data import _balls, _nearest, _poly_matrix, _poly_terms, _term_name
+from mbrom.mls import wendland_c2
 
 
 def _cholesky_moments(
@@ -159,7 +160,7 @@ def correct_oracle(field_values, exposed, fluid_history, grid, cfg):
             uncorrected.append(int(j))
             continue
         sel = hist_idx[inside]
-        w = cfg.weight(d[inside] / h)
+        w = wendland_c2(d[inside] / h)
         P = _monomials((grid.coords[sel] - xp) / h, terms)
         Pw = P * w[:, None]
         c = cho_solve(cho_factor(Pw.T @ P, lower=True), Pw.T @ field_values[sel])
@@ -206,7 +207,7 @@ def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
     h = np.asarray(ladder)[rung[fit]]
     sel, d2 = _balls(tree, hist_pts, xp, h)
     d = np.sqrt(d2)
-    w = np.where(d < h[:, None], cfg.weight(d / h[:, None]), 0.0)
+    w = np.where(d < h[:, None], wendland_c2(d / h[:, None]), 0.0)
     new_vals = _local_fit(
         (hist_pts[sel] - xp[:, None, :]) / h[:, None, None],
         field_values[hist_idx[sel]],

@@ -53,19 +53,21 @@ class TestBurgersExact:
         with pytest.raises(ValueError):
             BurgersConfig(reynolds=-1.0)
         with pytest.raises(ValueError):
-            BurgersConfig(nx=101, dx=1e-3)  # does not span [0,1]
+            BurgersConfig(nx=1)  # no grid spacing
 
 
 class TestBurgersSnapshots:
     def test_mean_is_time_average(self):
-        cfg = BurgersConfig(reynolds=100.0, nx=101, dx=1e-2)
+        cfg = BurgersConfig(reynolds=100.0, nx=101)
+        assert cfg.dx == 1 / (101 - 1)
         s = burgers_snapshots(cfg, 0.3, 0.5, 5)
         x = s.grid.coords[:, 0]
         avg = np.mean([burgers_exact(x, t, cfg) for t in s.times], axis=0)
         np.testing.assert_allclose(s.mean, avg, rtol=0, atol=1e-12)
 
     def test_all_fluid(self):
-        cfg = BurgersConfig(reynolds=1.0, nx=51, dx=1.0 / 50)
+        cfg = BurgersConfig(reynolds=1.0, nx=51)
+        assert cfg.dx == 1 / (51 - 1)
         s = burgers_snapshots(cfg, 0.3, 0.5, 4)
         assert s.all_fluid()
 

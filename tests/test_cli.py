@@ -15,8 +15,8 @@ import pytest
 import mbrom
 from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
 from mbrom.cli import main
-from mbrom.data import save_dataset
-from mbrom.rom import load_rom_model
+from mbrom.data import load_snapshots, save_dataset
+from mbrom.rom import build, load_rom_model, save_rom_model
 
 
 def read_csv(path):
@@ -96,6 +96,23 @@ class TestBuild:
         ]) == 0
         strict = json.loads((out2 / "report.json").read_text())
         assert strict["R"] == 2  # flag overrides the config file
+
+    @pytest.mark.parametrize("gen", [["burgers", "--nx", "201"], ["bubble"]])
+    def test_no_flags_saves_the_library_default_model(self, tmp_path, gen):
+        # an option no flag or config file sets takes the library's default
+        ds, cli, lib = tmp_path / "ds", tmp_path / "cli", tmp_path / "lib"
+        assert main(["gen", *gen, "--out", str(ds)]) == 0
+        assert main(["build", str(ds), "--out", str(cli)]) == 0
+        save_rom_model(build(load_snapshots(ds)), lib)
+
+        def files(root):
+            return {
+                p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "report.json"  # the CLI's own
+            }
+
+        assert files(cli) == files(lib)
 
 
 class TestForecast:
@@ -258,21 +275,6 @@ class TestBubbleFileFlow:
             payload["t_star_gpr_a"],
             payload["t_star_gpr_gamma"],
         )
-
-
-class TestSeedEnv:
-    def test_env_var_override(self, tmp_path, monkeypatch):
-        ds = tmp_path / "ds"
-        assert main([
-            "gen", "burgers", "--re", "100", "--nx", "201", "--out", str(ds),
-        ]) == 0
-        monkeypatch.setenv("MBROM_SEED", "7")
-        out = tmp_path / "m1"
-        assert main(["build", str(ds), "--out", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["seed"] == 7
-        out2 = tmp_path / "m2"
-        assert main(["build", str(ds), "--out", str(out2), "--seed", "3"]) == 0
-        assert json.loads((out2 / "report.json").read_text())["seed"] == 3
 
 
 class TestBench:

@@ -41,7 +41,7 @@ class TestAssemble:
         assert ops.linear[0, 0] == pytest.approx(-np.pi**2, abs=1e-3)
 
     def test_quadratic_term_against_quadrature(self):
-        cfg = BurgersConfig(reynolds=100.0, nx=501, dx=1.0 / 500)
+        cfg = BurgersConfig(reynolds=100.0, nx=501)
         s = burgers_snapshots(cfg, 0.3, 0.5, 8)
         basis = truncate(decompose(s), 0.01)
         ops = assemble_operators(basis, s.mean, s.grid, 100.0)

@@ -25,12 +25,6 @@ class TestWeight:
         assert np.all(w[:3] > 0) and np.all(w[3:] == 0.0)
         assert np.all(np.diff(wendland_c2(np.linspace(0, 1, 50))) <= 0)
 
-    def test_config_rejects_bad_weight(self):
-        with pytest.raises(ValueError, match="weight"):
-            MlsConfig(weight=lambda q: np.ones_like(q))  # no compact support
-        with pytest.raises(ValueError, match="weight"):
-            MlsConfig(weight=lambda q: q)  # increasing, zero at origin
-
 
 class TestMlsFit:
     def test_linear_reproduction(self):

@@ -120,7 +120,7 @@ class TestDecompose:
             assert np.abs(gram - expect).max() <= 1e-8
 
     def test_trace_identity_burgers(self):
-        cfg = BurgersConfig(reynolds=100.0, nx=201, dx=1.0 / 200)
+        cfg = BurgersConfig(reynolds=100.0, nx=201)
         s = burgers_snapshots(cfg, 0.3, 0.5, 6)
         b = decompose(s)
         energy = sum(
@@ -266,7 +266,7 @@ class TestRic:
     def test_low_re_decays_faster(self):
         res = {}
         for re in (1.0, 500.0):
-            cfg = BurgersConfig(reynolds=re, nx=201, dx=1.0 / 200)
+            cfg = BurgersConfig(reynolds=re, nx=201)
             s = burgers_snapshots(cfg, 0.3, 0.5, 20)
             b = decompose(s)
             res[re] = ric(b)[0]

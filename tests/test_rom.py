@@ -23,7 +23,6 @@ from mbrom.benchmarks import (
 )
 from mbrom.data import DomainMask, SnapshotSet, SpatialGrid
 from mbrom.gpr import GprStack, GprTolerances
-from mbrom.mls import MlsConfig
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
     HorizonExceededError,
@@ -403,7 +402,7 @@ class TestAdaptiveLoop:
             assert relative_error(fc.field, truth, cfg.grid()) <= 0.1
 
     def test_target_inside_first_window(self):
-        cfg = BurgersConfig(reynolds=100.0, nx=101, dx=1e-2)
+        cfg = BurgersConfig(reynolds=100.0, nx=101)
         forecasts, log = adaptive_loop(
             self.solver(cfg), 20, PodThresholds(), GprTolerances(),
             t_target=0.4, t_start=0.3,
@@ -411,7 +410,7 @@ class TestAdaptiveLoop:
         assert forecasts == [] and log == []
 
     def test_no_progress_aborts(self):
-        cfg = BurgersConfig(reynolds=100.0, nx=101, dx=1e-2)
+        cfg = BurgersConfig(reynolds=100.0, nx=101)
         # impossible tolerance: criterion violated at the first scan step
         tol = GprTolerances(beta_gpr_a=1e-12)
         with pytest.raises(RuntimeError, match="no forecast progress"):
@@ -487,12 +486,14 @@ class TestSerialization:
         assert str(path) in str(exc.value) and "schema_version 2" in str(exc.value)
 
     def test_unknown_weight_rejected(self, tmp_path, bubble_model):
-        def quartic(q):
-            return np.where(q < 1.0, (1.0 - q) ** 4, 0.0)
-
         _, _, m = bubble_model
-        m = dataclasses.replace(m, mls_cfg=MlsConfig(weight=quartic))
-        with pytest.warns(UserWarning, match="'quartic' .* will not load"):
-            save_rom_model(m, tmp_path / "model")
-        with pytest.raises(ValueError, match="unknown MLS weight 'quartic'"):
+        save_rom_model(m, tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        meta = json.loads(path.read_text())
+        assert meta["mls"]["weight"] == "wendland_c2"
+        meta["mls"]["weight"] = "quartic"
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError) as exc:
             load_rom_model(tmp_path / "model")
+        assert str(path) in str(exc.value)
+        assert "unknown MLS weight 'quartic'" in str(exc.value)
