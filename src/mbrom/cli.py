@@ -4,11 +4,13 @@ Subcommands: ``gen`` (benchmark datasets), ``build`` (ROM construction),
 ``forecast``, ``horizon``, ``bench`` (result-table suites) and ``adaptive``
 (solver/ROM alternation on the Burgers closed form).  For ``gen``, ``build``
 and ``adaptive``, flag values win over the optional JSON config file
-(``--config``).  An option set by neither is not passed on, so the library's
-own default applies: the dataclasses ``PodThresholds``, ``GprTolerances``,
-``MlsConfig``, ``BurgersConfig`` and ``BubbleConfig``, and ``build``'s
-``fill_order``.  Exit codes: 0 success, 1 input or validation error, 2
-forecast beyond the certified horizon without --force.
+(``--config``), whose keys are the subcommand's option names (``alpha_pod``
+for ``--alpha-pod``); any other key is an error.  An option set by neither
+is not passed on, so the library's own default applies: the dataclasses
+``PodThresholds``, ``GprTolerances``, ``MlsConfig``, ``BurgersConfig`` and
+``BubbleConfig``, and ``build``'s ``fill_order``.  Exit codes: 0 success, 1
+input or validation error, 2 forecast beyond the certified horizon without
+--force.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ def _window(args, config: dict, default: tuple) -> tuple:
 
 
 def _load_config(args) -> dict:
+    """The ``--config`` file's object; a key that is not one of the
+    subcommand's options is an error."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -94,6 +98,12 @@ def _load_config(args) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - args.config_keys)
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown config key {unknown[0]!r}; "
+            f"{args.command} reads {', '.join(sorted(args.config_keys))}"
+        )
     return cfg
 
 
@@ -401,7 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_config(sp):
+        # the file may set each option added before --config, keyed by its dest
+        keys = {a.dest for a in sp._actions if a.option_strings} - {"help", "out"}
         sp.add_argument("--config", help="JSON config file (flags take precedence)")
+        sp.set_defaults(config_keys=frozenset(keys))
 
     def add_seed(sp):
         # accepted and ignored (GP training is deterministic); it stays

@@ -14,7 +14,7 @@ import json
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -198,15 +198,17 @@ class SnapshotSet:
     def n_nodes(self) -> int:
         return self.fields.shape[1]
 
+    @cached_property
+    def fluid(self) -> np.ndarray:
+        """The masks as one (M, N) matrix, one row per snapshot."""
+        return np.array([m.fluid for m in self.masks])
+
     def all_fluid(self) -> bool:
-        return all(m.fluid.all() for m in self.masks)
+        return bool(self.fluid.all())
 
     def fluid_throughout(self) -> np.ndarray:
         """Nodes that sit in the fluid domain in every snapshot."""
-        out = np.ones(self.n_nodes, dtype=bool)
-        for m in self.masks:
-            out &= m.fluid
-        return out
+        return self.fluid.all(axis=0)
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, grid: SpatialGrid) -> float:
@@ -262,6 +264,19 @@ def _tree(pts: np.ndarray) -> cKDTree:
     return cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
 
+def _d2(pts: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distance from each target to its nodes ``idx`` (T, K) of ``pts``.
+
+    The bits are those of ``np.sum((pts[idx] - targets[:, None, :]) ** 2,
+    axis=2)``: with at most two coordinates the sum is one addition.  It is
+    formed a coordinate column at a time, which skips numpy's slow gather of
+    point rows and its reduction over a length-2 axis.
+    """
+    return reduce(
+        operator.add, [(p.take(idx) - x[:, None]) ** 2 for p, x in zip(pts.T, targets.T)]
+    )
+
+
 def _balls(
     tree: cKDTree, pts: np.ndarray, targets: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +293,7 @@ def _balls(
     slot = np.arange(sizes.max()) < sizes[:, None]
     idx = np.zeros(slot.shape, dtype=np.intp)
     idx[slot] = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(sizes.sum()))
-    offsets = pts.take(idx, axis=0) - targets[:, None, :]
-    d2 = np.where(slot, np.sum(offsets**2, axis=2), np.inf)
+    d2 = np.where(slot, _d2(pts, idx, targets), np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
@@ -306,9 +320,7 @@ def _nearest(
     m = min(n, k + _PAD)
     dist, idx = (a.reshape(len(targets), m) for a in tree.query(targets, k=m))
     cut = dist[:, k - 1] * (1.0 + 1e-9)
-    d2 = np.where(
-        dist <= cut[:, None], np.sum((pts[idx] - targets[:, None, :]) ** 2, axis=2), np.inf
-    )
+    d2 = np.where(dist <= cut[:, None], _d2(pts, idx, targets), np.inf)
     order = np.lexsort((idx, d2))[:, :k]
     idx, d2 = np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
     short = np.flatnonzero((dist[:, -1] <= cut) & (m < n))
@@ -388,64 +400,103 @@ def _shape_functions(
     return shape
 
 
-def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, order: int) -> np.ndarray:
-    """One-sided least-squares polynomial extension into the occluded nodes.
+def _fill(
+    grid: SpatialGrid,
+    fields: np.ndarray,
+    fluid: np.ndarray,
+    order: int,
+    times: np.ndarray | None = None,
+) -> np.ndarray:
+    """A copy of ``fields`` (M, N) with the occluded nodes (``~fluid``) of
+    each snapshot filled as ``fill_occluded`` describes.  Offsets are scaled
+    by the largest coordinate offset in the neighbor set; neighbors that do
+    not resolve every term (all on one grid line behind a straight edge,
+    say) get the minimum-norm fit.
 
-    Each occluded node is fitted, unweighted, over its k = 3 x terms nearest
-    fluid nodes, ties in distance going to the lower node index; offsets are
-    scaled by the largest coordinate offset in the neighbor set.  Neighbors
-    that do not resolve every term (all on one grid line behind a straight
-    edge, say) get the minimum-norm fit.
+    The search is shared across snapshots.  One tree over the nodes that are
+    fluid in every snapshot (B) gives the k nearest B-nodes of every other
+    node, once; each snapshot searches only its swept nodes (fluid now, not
+    in B), and each target keeps the first k of both lists by (d2, node
+    index).  That is its k nearest fluid nodes: any B-node among them is
+    among the k nearest B-nodes.
     """
-    out = values.copy()
-    occ = np.flatnonzero(~fluid)
-    if occ.size == 0:
+    out = fields.copy()
+    occluded = ~fluid
+    snaps = np.flatnonzero(occluded.any(axis=1))
+    if snaps.size == 0:
         return out
-    flu = np.flatnonzero(fluid)
     n_terms = len(_poly_terms(grid.dim, order))
-    if flu.size < n_terms:
+    n_fluid = fluid.sum(axis=1)
+    short = snaps[n_fluid[snaps] < n_terms]
+    if short.size:
+        i = short[0]
+        when = f" (t = {times[i]:.6g})" if times is not None else ""
         raise ValueError(
-            f"occluded node with only {flu.size} fluid neighbors, "
-            f"need at least {n_terms} for order {order}"
+            f"snapshot {i + 1}{when}: occluded node with only {n_fluid[i]} "
+            f"fluid neighbors, need at least {n_terms} for order {order}"
         )
-    pts = grid.coords[flu]
-    targets = grid.coords[occ]
-    sel, _ = _nearest(_tree(pts), pts, targets, 3 * n_terms)
-    centered = pts[sel] - targets[:, None, :]
-    scale = np.max(np.abs(centered), axis=(1, 2))
-    scale[scale == 0] = 1.0
-    T, k = sel.shape
-    shape = _shape_functions(
-        (centered / scale[:, None, None]).reshape(-1, grid.dim),
-        np.ones(sel.size),
-        np.full(T, k),
-        order,
-        min_norm=True,
-    )
-    out[occ] = np.add.reduceat(shape * values[flu[sel]].ravel(), np.arange(0, sel.size, k))
+    k = 3 * n_terms
+    coords = grid.coords
+    always = fluid.all(axis=0)
+    base = np.flatnonzero(always)
+    row = np.cumsum(~always) - 1  # a node's row in the B-neighbor lists
+    base_idx = np.empty((fields.shape[1] - base.size, 0), dtype=np.intp)
+    base_d2 = np.empty(base_idx.shape)
+    if base.size:
+        pts = coords[base]
+        base_idx, base_d2 = _nearest(_tree(pts), pts, coords[~always], k)
+        base_idx = base[base_idx]
+    for i in snaps:
+        targets = np.flatnonzero(occluded[i])
+        x = coords[targets]
+        idx, d2 = base_idx[row[targets]], base_d2[row[targets]]
+        swept = np.flatnonzero(fluid[i] & ~always)
+        if swept.size:
+            pts = coords[swept]
+            swept_idx, swept_d2 = _nearest(_tree(pts), pts, x, k)
+            idx = np.hstack([idx, swept[swept_idx]])
+            d2 = np.hstack([d2, swept_d2])
+            idx = np.take_along_axis(idx, np.lexsort((idx, d2))[:, :k], axis=1)
+        centered = coords.take(idx, axis=0) - x[:, None, :]
+        scale = np.max(np.abs(centered), axis=(1, 2))
+        scale[scale == 0] = 1.0
+        T, width = idx.shape  # width < k if the snapshot has fewer fluid nodes
+        shape = _shape_functions(
+            (centered / scale[:, None, None]).reshape(-1, grid.dim),
+            np.ones(idx.size),
+            np.full(T, width),
+            order,
+            min_norm=True,
+        )
+        out[i, targets] = np.add.reduceat(
+            shape * fields[i, idx].ravel(), np.arange(0, idx.size, width)
+        )
     return out
+
+
+def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, order: int) -> np.ndarray:
+    """The fill of one snapshot: ``values`` with its occluded nodes fitted."""
+    return _fill(grid, values[None], fluid[None], order)[0]
 
 
 def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
     """Assign values to occluded nodes so POD can run on the full domain.
 
-    Each snapshot's occluded nodes get a least-squares polynomial of the
-    given order, fitted over the k = 3 x terms nearest fluid nodes of that
-    snapshot (equal distances in order of node index) and evaluated at the
-    occluded node.  Masks are kept so later stages still know which nodes
-    carried real data.
+    Each snapshot's occluded nodes get an unweighted least-squares
+    polynomial of the given order, fitted over the k = 3 x terms nearest
+    fluid nodes of that snapshot (equal distances in order of node index)
+    and evaluated at the occluded node (``_fill``).  A snapshot with fewer
+    fluid nodes than terms is a ValueError naming it.  Masks are kept so
+    later stages still know which nodes carried real data.
     """
-    if s.all_fluid():
-        return s
     if order < 0:
         raise ValueError("polynomial order must be >= 0")
-    filled = s.fields.copy()
-    for i in range(s.n_snapshots):
-        filled[i] = _ls_extrapolate(s.grid, s.fields[i], s.masks[i].fluid, order)
+    if s.all_fluid():
+        return s
     return SnapshotSet(
         grid=s.grid,
         times=s.times,
-        fields=filled,
+        fields=_fill(s.grid, s.fields, s.fluid, order, s.times),
         masks=s.masks,
         boundary=s.boundary,
         field_name=s.field_name,
@@ -602,8 +653,7 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
         "field_name": s.field_name,
     }
     if not s.all_fluid():
-        mmat = np.array([m.fluid.astype(int) for m in s.masks])
-        write_matrix(out / "masks.csv", mmat, fmt="%d")
+        write_matrix(out / "masks.csv", s.fluid.astype(int), fmt="%d")
         meta["masks"] = "masks.csv"
     if s.boundary is not None:
         with open(out / "boundary.csv", "w", newline="") as fh:

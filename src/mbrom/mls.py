@@ -83,6 +83,8 @@ class MlsConfig:
             raise ValueError("kernel length must be positive")
         if self.min_neighbor_factor < 1:
             raise ValueError("min_neighbor_factor must be >= 1")
+        if self.max_growths < 0:
+            raise ValueError("max_growths must be >= 0")
 
     def n_terms(self, dim: int) -> int:
         return len(_poly_terms(dim, self.order))

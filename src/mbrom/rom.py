@@ -184,6 +184,8 @@ def build(
     ``seed`` is accepted and ignored: training is deterministic.  It stays
     because the benchmark (``perfbench/workloads.py``) passes ``seed=0``.
     """
+    if fill_order < 0:
+        raise ValueError("fill_order must be >= 0")
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
     scan_step = (tM - t1) / s.n_snapshots
@@ -257,8 +259,7 @@ def build(
 def _check_radius_masks(s: SnapshotSet, radii: np.ndarray) -> None:
     """Raise ValueError unless every snapshot's mask is ``radii >= R``, with
     R the snapshot's first boundary parameter."""
-    fluid = np.array([m.fluid for m in s.masks])
-    wrong = (fluid != (radii >= s.boundary.values[:, :1])).any(axis=1)
+    wrong = (s.fluid != (radii >= s.boundary.values[:, :1])).any(axis=1)
     if wrong.any():
         i = int(np.argmax(wrong))
         raise ValueError(

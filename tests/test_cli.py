@@ -14,7 +14,7 @@ import pytest
 
 import mbrom
 from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
-from mbrom.cli import main
+from mbrom.cli import _build_parser, _load_config, main
 from mbrom.data import load_snapshots, save_dataset
 from mbrom.rom import build, load_rom_model, save_rom_model
 
@@ -97,6 +97,19 @@ class TestBuild:
         strict = json.loads((out2 / "report.json").read_text())
         assert strict["R"] == 2  # flag overrides the config file
 
+    @pytest.mark.parametrize("key", ["alpha-pod", "seed", "fill-order"])
+    def test_unknown_config_key_refused(self, built_model, tmp_path, capsys, key):
+        # a misspelt option (dashes, not its dest) and the retired seed key
+        ds, _ = built_model
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"alpha_pod": 0.2, key: 1}))
+        out = tmp_path / "m"
+        rc = main(["build", str(ds), "--out", str(out), "--config", str(cfgfile)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(cfgfile) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("gen", [["burgers", "--nx", "201"], ["bubble"]])
     def test_no_flags_saves_the_library_default_model(self, tmp_path, gen):
         # an option no flag or config file sets takes the library's default
@@ -113,6 +126,40 @@ class TestBuild:
             }
 
         assert files(cli) == files(lib)
+
+
+class TestConfigKeys:
+    # every config key each subcommand reads: its options, by dest
+    KEYS = {
+        "gen": {"re", "nx", "nr", "amplitude", "omega", "t1", "tm", "m"},
+        "build": {"alpha_pod", "beta_pod", "beta_gpr_a", "beta_gpr_gamma",
+                  "mls_order", "fill_order"},
+        "adaptive": {"re", "m", "dt", "t_start", "t_target", "alpha_pod",
+                     "beta_pod", "beta_gpr_a"},
+    }
+    ARGV = {
+        "gen": ["gen", "bubble"],
+        "build": ["build", "ds"],
+        "adaptive": ["adaptive"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_every_read_key_accepted(self, command, tmp_path):
+        cfg = {key: 1.0 for key in self.KEYS[command]}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg))
+        args = _build_parser().parse_args(
+            [*self.ARGV[command], "--out", "x", "--config", str(cfgfile)]
+        )
+        assert args.config_keys == self.KEYS[command]
+        assert _load_config(args) == cfg
+
+    def test_gen_reads_its_config(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"nx": 51, "m": 4}))
+        out = tmp_path / "ds"
+        assert main(["gen", "burgers", "--out", str(out), "--config", str(cfgfile)]) == 0
+        assert read_csv(out / "fields.csv").shape == (4, 51)
 
 
 class TestForecast:

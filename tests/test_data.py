@@ -23,7 +23,9 @@ from mbrom.data import (
     load_snapshots,
     _PAD,
     _balls,
+    _ls_extrapolate,
     _nearest,
+    _poly_terms,
     _parse_matrix,
     _read_matrix,
     _tree,
@@ -293,6 +295,21 @@ class TestFillOccluded:
         out = fill_occluded(s, order=1)
         np.testing.assert_array_equal(out.masks[0].fluid, fluid)
 
+    def test_error_names_the_snapshot(self):
+        g = SpatialGrid.uniform_1d(0.0, 1.0, 21)
+        fluid = np.ones((3, 21), bool)
+        fluid[1, 2:] = False  # two fluid nodes, three terms at order 2
+        s = SnapshotSet(g, [0.0, 0.5, 1.0], np.ones((3, 21)),
+                        masks=[DomainMask(f) for f in fluid])
+        with pytest.raises(ValueError, match=r"snapshot 2 \(t = 0.5\).*fluid neighbors"):
+            fill_occluded(s, order=2)
+
+    def test_negative_order_rejected_on_all_fluid_data(self):
+        g = SpatialGrid.uniform_1d(0.0, 1.0, 5)
+        s = SnapshotSet(g, [0.0, 1.0], np.ones((2, 5)))
+        with pytest.raises(ValueError, match="order"):
+            fill_occluded(s, order=-1)
+
     def test_polynomial_reproduction_2d(self):
         xs = np.linspace(0.0, 1.0, 9)
         gx, gy = np.meshgrid(xs, xs)
@@ -305,6 +322,66 @@ class TestFillOccluded:
         s = SnapshotSet(g, [0.0, 1.0], u, masks=[DomainMask(fluid)] * 2)
         out = fill_occluded(s, order=2)
         np.testing.assert_allclose(out.fields[0], p, atol=1e-9)
+
+
+class TestSharedSearchFill:
+    """``fill_occluded`` searches the nodes fluid in every snapshot (B) once
+    and each snapshot's swept nodes on their own, then merges the two lists;
+    every snapshot must come out as the one-snapshot fill makes it."""
+
+    @staticmethod
+    def masks(data, cells):
+        """(M, N) fluid flags on the integer lattice ``cells``: a body whose
+        squared radius changes between snapshots (sorted: nested bodies;
+        unsorted: oscillating) or independent random masks, then optionally
+        a node fluid in one snapshot alone, an empty B, or |B| < 3 <= k."""
+        n, dim = cells.shape
+        M = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            top = 2 * int(cells.max())
+            centre = np.array(data.draw(st.lists(st.integers(0, top), min_size=dim, max_size=dim)))
+            r2 = data.draw(st.lists(st.integers(0, top * top // 4), min_size=M, max_size=M))
+            if data.draw(st.booleans()):
+                r2.sort()
+            # fluid where |x - centre / 2|^2 >= r2, decided in integers
+            fluid = np.sum((2 * cells - centre) ** 2, axis=1) >= 4 * np.array(r2)[:, None]
+        else:
+            fluid = rng.random((M, n)) >= data.draw(st.sampled_from([0.1, 0.3, 0.6]))
+        twist = data.draw(st.sampled_from(["none", "lonely", "empty", "small"]))
+        if twist == "lonely":
+            j = rng.integers(n)
+            fluid[:, j] = False
+            fluid[rng.integers(M), j] = True
+        elif twist != "none":
+            base = np.flatnonzero(fluid.all(axis=0))
+            drop = rng.permutation(base)[0 if twist == "empty" else rng.integers(1, 3):]
+            fluid[rng.integers(M, size=drop.size), drop] = False
+        return fluid
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]))
+    def test_each_snapshot_is_its_one_snapshot_fill(self, data, dim):
+        side = data.draw(st.integers(4, 30) if dim == 1 else st.integers(3, 7))
+        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
+        fluid = self.masks(data, cells)
+        # scale 1 keeps distance ties exact; 0.1 and 1/3 round some apart
+        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        grid = SpatialGrid(dim=dim, coords=scale * cells, quad_weights=np.ones(len(cells)))
+        M = fluid.shape[0]
+        fields = np.random.default_rng(M).standard_normal(fluid.shape)
+        s = SnapshotSet(grid, np.arange(M), fields, masks=[DomainMask(f) for f in fluid])
+        for order in (0, 1, 2):
+            n_terms = len(_poly_terms(dim, order))
+            short = np.flatnonzero(~fluid.all(axis=1) & (fluid.sum(axis=1) < n_terms))
+            if short.size:
+                with pytest.raises(ValueError, match=f"snapshot {short[0] + 1} .*fluid neighbors"):
+                    fill_occluded(s, order)
+                continue
+            filled = fill_occluded(s, order).fields
+            for i in range(M):
+                one = _ls_extrapolate(grid, fields[i], fluid[i], order)
+                assert filled[i].tobytes() == one.tobytes()
 
 
 def brute_nearest(pts, targets, k):

@@ -212,6 +212,8 @@ class TestConfigValidation:
             MlsConfig(kernel_len=0.0)
         with pytest.raises(ValueError):
             MlsConfig(min_neighbor_factor=0.5)
+        with pytest.raises(ValueError, match="max_growths"):
+            MlsConfig(max_growths=-3)
 
     def test_required_neighbors(self):
         cfg = MlsConfig(order=3, min_neighbor_factor=6.0)

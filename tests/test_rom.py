@@ -65,6 +65,12 @@ class TestBuild:
         assert m.horizon_gpr_gamma is None
         assert m.mls_cfg is None
 
+    def test_negative_fill_order_rejected_on_all_fluid_data(self, burgers_model):
+        # the fill never runs on all-fluid data; the order is checked anyway
+        _, s, _ = burgers_model
+        with pytest.raises(ValueError, match="fill_order"):
+            build(s, fill_order=-1)
+
     def test_moving_boundary_requires_track(self):
         cfg = BubbleConfig()
         s, _ = bubble_snapshots(cfg, 51.0, 60.0, 10)
