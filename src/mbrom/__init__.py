@@ -24,12 +24,7 @@ from .data import (
     load_snapshots,
     save_dataset,
 )
-from .galerkin import (
-    GalerkinOperators,
-    assemble_operators,
-    integrate,
-    write_trajectory_csv,
-)
+from .galerkin import GalerkinOperators, assemble_operators, integrate
 from .gpr import (
     GprModel,
     GprTolerances,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,15 @@ import numpy as np
 
 from . import benchmarks as bench_mod
 from . import pod as pod_mod
-from .data import FMT, load_snapshots, save_dataset, write_matrix
+from .data import (
+    FMT,
+    _read_json,
+    inner_product,
+    load_snapshots,
+    save_dataset,
+    write_json,
+    write_matrix,
+)
 from .galerkin import assemble_operators, integrate
 from .gpr import GprStack, GprTolerances, train_many
 from .mls import MlsConfig
@@ -41,17 +48,6 @@ from .rom import (
 )
 
 __all__ = ["main"]
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _json_dump(payload, path: Path) -> str:
-    """Write ``payload`` as JSON to ``path``; returns the text less its newline."""
-    text = _json_text(payload)
-    path.write_text(text + "\n")
-    return text
 
 
 # The fixture windows (t1, tM, M): what ``gen`` writes unless told otherwise,
@@ -94,8 +90,7 @@ def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     unknown = sorted(set(cfg) - args.config_keys)
@@ -114,16 +109,19 @@ def _thresholds(args, config) -> tuple[PodThresholds, GprTolerances]:
     )
 
 
+def _fluid_error(pred, truth, fluid, grid) -> float:
+    """``relative_error`` over the predicted fluid region (the whole grid
+    when ``fluid`` is None): a moving-boundary forecast is scored there."""
+    fluid = True if fluid is None else fluid
+    return relative_error(np.where(fluid, pred, 0.0), np.where(fluid, truth, 0.0), grid)
+
+
 def _horizons(model) -> dict:
     """The three horizons, their minimum t* and the binding criterion."""
+    stars = {f"t_star_{name}": t for name, t in model.t_stars().items()}
     return {
-        "t_star_pod": model.horizon_pod.t_star,
-        "t_star_gpr_a": model.horizon_gpr_a.t_star,
-        "t_star_gpr_gamma": (
-            model.horizon_gpr_gamma.t_star
-            if model.horizon_gpr_gamma is not None
-            else None
-        ),
+        "t_star_gpr_gamma": None,
+        **stars,
         "t_star": model.t_star,
         "binding": model.binding_component(),
     }
@@ -174,7 +172,7 @@ def cmd_build(args) -> int:
         ],
         **_horizons(model),
     }
-    _json_dump(report, out / "report.json")
+    write_json(out / "report.json", report)
     print(f"R={report['R']}  t*={report['t_star']:.6g}  ({report['binding']})")
     return 0
 
@@ -219,24 +217,17 @@ def cmd_forecast(args) -> int:
             raise ValueError(
                 f"truth dataset has no snapshot at t={fc.t_query:.6g}"
             )
-        # a moving-boundary forecast is scored over its predicted fluid region
-        fluid = True if fc.fluid_mask is None else fc.fluid_mask
-        summary["relative_error"] = relative_error(
-            np.where(fluid, fc.field, 0.0),
-            np.where(fluid, truth_snaps.fields[idx], 0.0),
-            model.grid,
+        summary["relative_error"] = _fluid_error(
+            fc.field, truth_snaps.fields[idx], fc.fluid_mask, model.grid
         )
     if fc.correction_report is not None and fc.correction_report.rows:
         fc.correction_report.to_csv(out / "correction_report.csv")
-    print(_json_dump(summary, out / "summary.json"))
+    print(write_json(out / "summary.json", summary))
     return 0
 
 
 def cmd_horizon(args) -> int:
-    text = _json_text(_horizons(load_rom_model(args.model)))
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    print(write_json(args.out or None, _horizons(load_rom_model(args.model))))
     return 0
 
 
@@ -274,9 +265,7 @@ def _bench_error_growth(out: Path) -> None:
         tq = 0.5 + dt_star
         fc = forecast(model, tq, force=True)
         diff = bench_mod.burgers_exact(x, tq, cfg) - fc.field
-        eps = float(
-            np.sqrt(np.sum(diff * diff * snaps.grid.quad_weights))
-        )
+        eps = float(np.sqrt(inner_product(diff, diff, snaps.grid)))
         rows.append((dt_star, eps, fc.sigma_weighted))
     write_matrix(
         out / "error_growth.csv", np.array(rows), header="dt_star,eps_rom,sigma_weighted"
@@ -330,8 +319,6 @@ def _bench_bubble(out: Path) -> None:
     exp = fc.corrected_nodes
     err_b = float(np.abs(uncorrected - truth)[exp].max()) if exp.size else 0.0
     err_a = float(np.abs(fc.field - truth)[exp].max()) if exp.size else 0.0
-    # scored over the predicted fluid region
-    truth_fluid = np.where(fc.fluid_mask, truth, 0.0)
     summary = {
         "t_query": t_query,
         "t_star": fc.t_star,
@@ -339,15 +326,13 @@ def _bench_bubble(out: Path) -> None:
         "corrected_node_count": int(exp.size),
         "max_err_exposed_before": err_b,
         "max_err_exposed_after": err_a,
-        "rel_error_uncorrected": relative_error(
-            np.where(fc.fluid_mask, uncorrected, 0.0), truth_fluid, model.grid
+        "rel_error_uncorrected": _fluid_error(
+            uncorrected, truth, fc.fluid_mask, model.grid
         ),
-        "rel_error_corrected": relative_error(
-            np.where(fc.fluid_mask, fc.field, 0.0), truth_fluid, model.grid
-        ),
+        "rel_error_corrected": _fluid_error(fc.field, truth, fc.fluid_mask, model.grid),
         "boundary_values": fc.boundary_values,
     }
-    _json_dump(summary, out / "bubble_summary.json")
+    write_json(out / "bubble_summary.json", summary)
 
 
 def cmd_bench(args) -> int:
@@ -493,7 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     except HorizonExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        # a malformed JSON file raises json.JSONDecodeError, a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

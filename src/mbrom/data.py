@@ -33,6 +33,7 @@ __all__ = [
     "load_snapshots",
     "save_dataset",
     "write_matrix",
+    "write_json",
 ]
 
 
@@ -508,7 +509,7 @@ def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
 #
 # Manifest keys: grid, fields, times, masks (optional), boundary (optional),
 # field_name.  Matrix CSVs are headerless; the boundary CSV has a header row
-# with the parameter names.
+# with the parameter names.  Every JSON file goes through ``write_json``.
 
 
 def _read_matrix(path: Path) -> np.ndarray:
@@ -552,22 +553,39 @@ def _parse_matrix(path: Path, numbered_rows) -> np.ndarray:
     return mat
 
 
+def _read_grid(path: Path) -> SpatialGrid:
+    """Grid from a CSV of coordinate columns and a last column of weights."""
+    gmat = _read_matrix(path)
+    dim = gmat.shape[1] - 1
+    return SpatialGrid(dim=dim, coords=gmat[:, :dim], quad_weights=gmat[:, dim])
+
+
+def _read_json(path: str | Path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path: str | Path | None, payload, indent: int | None = 2) -> str:
+    """Write ``payload`` as JSON with sorted keys and a final newline (no
+    file when ``path`` is None); returns the text less its newline."""
+    text = json.dumps(payload, indent=indent, sort_keys=True)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
 def load_snapshots(manifest_path: str | Path) -> SnapshotSet:
     """Load a dataset directory via its JSON manifest."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
     base = manifest_path.parent
-    with open(manifest_path) as fh:
-        meta = json.load(fh)
+    meta = _read_json(manifest_path)
     for key in ("grid", "fields", "times"):
         if key not in meta:
             raise ValueError(f"manifest missing required key {key!r}")
 
-    gmat = _read_matrix(base / meta["grid"])
-    dim = gmat.shape[1] - 1
-    grid = SpatialGrid(dim=dim, coords=gmat[:, :dim], quad_weights=gmat[:, dim])
-
+    grid = _read_grid(base / meta["grid"])
     fields = _read_matrix(base / meta["fields"])
     times = _read_matrix(base / meta["times"]).ravel()
     if fields.shape[0] != times.shape[0]:
@@ -662,8 +680,5 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
             for row in s.boundary.values:
                 writer.writerow([FMT % v for v in row])
         meta["boundary"] = "boundary.csv"
-    mpath = out / "manifest.json"
-    with open(mpath, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return mpath
+    write_json(out / "manifest.json", meta)
+    return out / "manifest.json"

@@ -9,36 +9,34 @@ Serves as the reference the nonintrusive model is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import SpatialGrid, inner_product, write_matrix
+from .data import SpatialGrid
 from .pod import PodBasis
 
 __all__ = [
     "GalerkinOperators",
     "assemble_operators",
     "integrate",
-    "write_trajectory_csv",
 ]
 
 
 def _d1(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order first derivative; one-sided at the two boundary nodes."""
+    """Second-order first derivative along the last axis; one-sided at the ends."""
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    g[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
+    g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
     return g
 
 
 def _d2(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order second derivative; one-sided at the two boundary nodes."""
+    """Second-order second derivative along the last axis; one-sided at the ends."""
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx**2
-    g[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx**2
-    g[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / dx**2
+    g[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / dx**2
+    g[..., 0] = (2.0 * f[..., 0] - 5.0 * f[..., 1] + 4.0 * f[..., 2] - f[..., 3]) / dx**2
+    g[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / dx**2
     return g
 
 
@@ -85,28 +83,16 @@ def assemble_operators(
     mean = np.asarray(mean, dtype=float).ravel()
     phi = b.modes[:R]
     mean_x, mean_xx = _d1(mean, dx), _d2(mean, dx)
-    phi_x = np.array([_d1(p, dx) for p in phi])
-    phi_xx = np.array([_d2(p, dx) for p in phi])
+    phi_x, phi_xx = _d1(phi, dx), _d2(phi, dx)
 
-    ip = lambda f, g: inner_product(f, g, grid)
-    constant = np.array(
-        [ip(mean_xx / reynolds - mean * mean_x, phi[k]) for k in range(R)]
-    )
-    linear = np.array(
-        [
-            [
-                ip(phi_xx[i] / reynolds - phi[i] * mean_x - mean * phi_x[i], phi[k])
-                for k in range(R)
-            ]
-            for i in range(R)
-        ]
-    )
-    quadratic = np.empty((R, R, R))
-    for i in range(R):
-        for j in range(R):
-            prod = -phi[i] * phi_x[j]
-            for k in range(R):
-                quadratic[i, j, k] = ip(prod, phi[k])
+    # (f, phi_k) for a stack of f: the products and pairwise sums of
+    # inner_product, one row at a time
+    def project(f):
+        return np.sum(f[..., None, :] * phi * grid.quad_weights, axis=-1)
+
+    constant = project(mean_xx / reynolds - mean * mean_x)
+    linear = project(phi_xx / reynolds - phi * mean_x - mean * phi_x)
+    quadratic = project(-phi[:, None] * phi_x)
     return GalerkinOperators(
         constant=constant, linear=linear, quadratic=quadratic, reynolds=reynolds
     )
@@ -157,14 +143,3 @@ def integrate(
             t_now = te
         out[idx] = a
     return t_eval, out
-
-def write_trajectory_csv(
-    path: str | Path, times: np.ndarray, traj: np.ndarray
-) -> None:
-    """Write a coefficient trajectory as rows of t, a_1, ..., a_R."""
-    times = np.asarray(times, dtype=float).ravel()
-    traj = np.atleast_2d(np.asarray(traj, dtype=float))
-    if traj.shape[0] != times.shape[0]:
-        raise ValueError("trajectory row count does not match times")
-    header = "t," + ",".join(f"a_{k + 1}" for k in range(traj.shape[1]))
-    write_matrix(path, np.column_stack([times, traj]), header=header)

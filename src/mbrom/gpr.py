@@ -38,7 +38,6 @@ There is no random start; the result depends only on the data.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +45,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
+
+from .data import _read_json, write_json
 
 __all__ = [
     "Kernel",
@@ -610,7 +611,7 @@ def gpr_horizon_boundary(
 
 
 def save_gpr_model(m: GprModel, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "theta_f": m.kernel.theta_f,
         "theta_l": m.kernel.theta_l,
         "noise_var": m.noise_var,
@@ -619,15 +620,11 @@ def save_gpr_model(m: GprModel, path: str | Path) -> None:
         "y_scale": m.y_scale,
         "train_t": m.train_t.tolist(),
         "train_y": m.train_y.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_gpr_model(path: str | Path) -> GprModel:
-    with open(path) as fh:
-        p = json.load(fh)
+    p = _read_json(path)
     return GprModel(
         Kernel(p["theta_f"], p["theta_l"]),
         p["noise_var"],

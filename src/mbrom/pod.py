@@ -9,14 +9,20 @@ tail falls below a threshold.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import SnapshotSet, _read_matrix, inner_product, write_matrix
+from .data import (
+    SnapshotSet,
+    _read_json,
+    _read_matrix,
+    inner_product,
+    write_json,
+    write_matrix,
+)
 
 __all__ = [
     "PodBasis",
@@ -92,11 +98,11 @@ def decompose(s: SnapshotSet) -> PodBasis:
     if lam[0] <= 0.0:
         raise ValueError("degenerate input: snapshots carry no fluctuation energy")
 
+    k = np.flatnonzero(sing > 0.0)
     modes = np.zeros((M, s.n_nodes))
+    modes[k] = Vt[k] / sqw
     coeffs = np.zeros((M, M))
-    for k in np.flatnonzero(sing > 0.0):
-        modes[k] = Vt[k] / sqw
-        coeffs[:, k] = sing[k] * U[:, k]
+    coeffs[:, k] = U[:, k] * sing[k]
     return PodBasis(
         eigenvalues=lam, modes=modes, retained=M, coeffs=coeffs, rrms_tail=0.0
     )
@@ -203,20 +209,12 @@ def save_pod_basis(b: PodBasis, out_dir: str | Path) -> None:
     write_matrix(out / "eigenvalues.csv", b.eigenvalues)
     write_matrix(out / "modes.csv", b.modes[: b.retained])
     write_matrix(out / "coeffs.csv", b.coeffs[:, : b.retained])
-    with open(out / "pod.json", "w") as fh:
-        json.dump(
-            {"retained": b.retained, "rrms_tail": b.rrms_tail},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(out / "pod.json", {"retained": b.retained, "rrms_tail": b.rrms_tail})
 
 
 def load_pod_basis(in_dir: str | Path) -> PodBasis:
     src = Path(in_dir)
-    with open(src / "pod.json") as fh:
-        meta = json.load(fh)
+    meta = _read_json(src / "pod.json")
     return PodBasis(
         eigenvalues=_read_matrix(src / "eigenvalues.csv").ravel(),
         modes=_read_matrix(src / "modes.csv"),

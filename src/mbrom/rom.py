@@ -9,9 +9,8 @@ fabricated by the occluded fill.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -23,9 +22,12 @@ from .data import (
     BoundaryTrack,
     SnapshotSet,
     SpatialGrid,
+    _read_grid,
+    _read_json,
     _read_matrix,
     fill_occluded,
     inner_product,
+    write_json,
     write_matrix,
 )
 from .gpr import (
@@ -108,20 +110,19 @@ class RomModel:
         """Distance of every grid node from the origin (the radius rule)."""
         return _node_radii(self.grid)
 
-    @property
-    def t_star(self) -> float:
-        parts = [self.horizon_pod.t_star, self.horizon_gpr_a.t_star]
-        if self.horizon_gpr_gamma is not None:
-            parts.append(self.horizon_gpr_gamma.t_star)
-        return min(parts)
-
-    def binding_component(self) -> str:
-        stars = {
-            "pod": self.horizon_pod.t_star,
-            "gpr_a": self.horizon_gpr_a.t_star,
-        }
+    def t_stars(self) -> dict[str, float]:
+        """Each criterion's t*, keyed by the name ``binding_component`` reports."""
+        stars = {"pod": self.horizon_pod.t_star, "gpr_a": self.horizon_gpr_a.t_star}
         if self.horizon_gpr_gamma is not None:
             stars["gpr_gamma"] = self.horizon_gpr_gamma.t_star
+        return stars
+
+    @property
+    def t_star(self) -> float:
+        return min(self.t_stars().values())
+
+    def binding_component(self) -> str:
+        stars = self.t_stars()
         return min(stars, key=stars.get)
 
     def posterior(self, t_query: float) -> tuple[np.ndarray, ...]:
@@ -304,9 +305,9 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
         if fluid_now is not None:
             exposed = fluid_now & ~m.window_all_fluid
             history = fluid_now & m.window_all_fluid
-            before = field_values.copy()
+            before = field_values
             field_values, report = correct_field(
-                field_values,
+                before,
                 exposed,
                 history,
                 m.grid,
@@ -314,10 +315,9 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
                 m.mls_cache,
             )
             corrected_nodes = report.corrected_nodes()
-            if corrected_nodes.size:
-                delta = np.zeros_like(field_values)
-                delta[corrected_nodes] = (field_values - before)[corrected_nodes]
-                eps_mls = float(np.sqrt(inner_product(delta, delta, m.grid)))
+            # correct_field returns a new array, changed only at corrected nodes
+            delta = field_values - before
+            eps_mls = float(np.sqrt(inner_product(delta, delta, m.grid)))
 
     return RomForecast(
         t_query=t_query,
@@ -443,10 +443,8 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         "t1": m.t1,
         "tM": m.tM,
         "scan_step": m.scan_step,
-        "alpha_pod": m.thresholds.alpha_pod,
-        "beta_pod": m.thresholds.beta_pod,
-        "beta_gpr_a": m.tolerances.beta_gpr_a,
-        "beta_gpr_gamma": m.tolerances.beta_gpr_gamma,
+        **asdict(m.thresholds),
+        **asdict(m.tolerances),
         "t_star_pod": m.horizon_pod.t_star,
         "pod_unbounded": m.horizon_pod.unbounded,
         "t_star_gpr_a": m.horizon_gpr_a.t_star,
@@ -459,13 +457,7 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         ),
     }
     if m.mls_cfg is not None:
-        meta["mls"] = {
-            "order": m.mls_cfg.order,
-            "kernel_len": m.mls_cfg.kernel_len,
-            "min_neighbor_factor": m.mls_cfg.min_neighbor_factor,
-            "max_growths": m.mls_cfg.max_growths,
-            "weight": "wendland_c2",
-        }
+        meta["mls"] = {**asdict(m.mls_cfg), "weight": "wendland_c2"}
     if m.boundary_models is not None:
         bdir = out / "boundary"
         bdir.mkdir(exist_ok=True)
@@ -476,28 +468,25 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         meta["t_star_gpr_gamma_per_param"] = list(m.horizon_gpr_gamma.per_param)
         meta["gpr_gamma_at_data_end"] = m.horizon_gpr_gamma.at_data_end
         meta["gpr_gamma_capped"] = m.horizon_gpr_gamma.capped
-        with open(out / "boundary_track.json", "w") as fh:
-            json.dump(
-                {"names": m.boundary.names, "values": m.boundary.values.tolist()},
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        track = {"names": m.boundary.names, "values": m.boundary.values.tolist()}
+        write_json(out / "boundary_track.json", track, indent=None)
         if callable(m.boundary_geometry):
             warnings.warn(
                 "callable boundary geometry is not serializable; reloaded "
                 "model will skip the correction step",
                 stacklevel=2,
             )
-    with open(out / "model.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "model.json", meta)
+
+
+def _from_fields(cls, meta: dict):
+    """``cls`` built from the keys of ``meta`` that name its fields."""
+    return cls(**{f.name: meta[f.name] for f in fields(cls)})
 
 
 def load_rom_model(in_dir: str | Path) -> RomModel:
     src = Path(in_dir)
-    with open(src / "model.json") as fh:
-        meta = json.load(fh)
+    meta = _read_json(src / "model.json")
     version = meta.get("schema_version", 1)  # files from before versioning
     if version != SCHEMA_VERSION:
         raise ValueError(
@@ -508,17 +497,14 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     mode_models = [
         load_gpr_model(src / "gpr" / f"mode_{k}.json") for k in range(basis.retained)
     ]
-    gmat = _read_matrix(src / "grid.csv")
-    dim = gmat.shape[1] - 1
-    grid = SpatialGrid(dim=dim, coords=gmat[:, :dim], quad_weights=gmat[:, dim])
+    grid = _read_grid(src / "grid.csv")
     mean = _read_matrix(src / "mean.csv").ravel()
     window_all_fluid = _read_matrix(src / "window_all_fluid.csv").ravel() > 0.5
     boundary = None
     boundary_models = None
     horizon_gamma = None
     if "boundary_names" in meta:
-        with open(src / "boundary_track.json") as fh:
-            bt = json.load(fh)
+        bt = _read_json(src / "boundary_track.json")
         boundary = BoundaryTrack(names=bt["names"], values=np.asarray(bt["values"]))
         boundary_models = [
             load_gpr_model(src / "boundary" / f"param_{j}.json")
@@ -538,19 +524,14 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
                 f"{src / 'model.json'}: unknown MLS weight {weight!r}; "
                 "the one known weight is 'wendland_c2'"
             )
-        mls_cfg = MlsConfig(
-            order=meta["mls"]["order"],
-            kernel_len=meta["mls"]["kernel_len"],
-            min_neighbor_factor=meta["mls"]["min_neighbor_factor"],
-            max_growths=meta["mls"]["max_growths"],
-        )
+        mls_cfg = _from_fields(MlsConfig, meta["mls"])
     return RomModel(
         grid=grid,
         mean=mean,
         basis=basis,
         mode_models=mode_models,
-        thresholds=PodThresholds(meta["alpha_pod"], meta["beta_pod"]),
-        tolerances=GprTolerances(meta["beta_gpr_a"], meta["beta_gpr_gamma"]),
+        thresholds=_from_fields(PodThresholds, meta),
+        tolerances=_from_fields(GprTolerances, meta),
         t1=meta["t1"],
         tM=meta["tM"],
         scan_step=meta["scan_step"],

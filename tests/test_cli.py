@@ -424,6 +424,45 @@ class TestForecastTruthMovingBoundary:
         np.testing.assert_allclose(truth, bubble_strain(r, 64.0, cfg), rtol=1e-12)
 
 
+class TestModelFile:
+    """model.json reads each config dataclass by its field names."""
+
+    def forecast(self, model, out):
+        return main(["forecast", str(model), "--t", "64", "--force", "--out", str(out)])
+
+    def edited_model(self, bubble_model, tmp_path, edit):
+        model = tmp_path / "model"
+        shutil.copytree(bubble_model, model)
+        path = model / "model.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        return model
+
+    def test_extra_keys_are_ignored(self, bubble_model, tmp_path):
+        def edit(meta):
+            meta["comment"] = "ignored"
+            meta["mls"]["comment"] = "ignored"
+
+        model = self.edited_model(bubble_model, tmp_path, edit)
+        assert self.forecast(bubble_model, tmp_path / "a") == 0
+        assert self.forecast(model, tmp_path / "b") == 0
+        for name in ("summary.json", "field.csv", "correction_report.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["beta_pod", "beta_gpr_gamma", "mls.max_growths"])
+    def test_missing_key_exits_1(self, bubble_model, tmp_path, capsys, key):
+        *block, name = key.split(".")
+
+        def edit(meta):
+            owner = meta[block[0]] if block else meta
+            del owner[name]
+
+        model = self.edited_model(bubble_model, tmp_path, edit)
+        assert self.forecast(model, tmp_path / "fc") == 1
+        assert capsys.readouterr().err.strip() == f"error: '{name}'"
+
+
 def test_cli_import_leaves_out_the_tree_module():
     # the k-d tree (scipy.spatial) loads only when a fill or correction runs
     src = str(Path(mbrom.__file__).resolve().parents[1])

@@ -97,6 +97,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ops, [1.0], (0.0, 1.0), 0.0)
 
+    def test_one_row_per_output_time(self):
+        ops = GalerkinOperators(
+            np.zeros(2), -np.eye(2), np.zeros((2, 2, 2)), 1.0
+        )
+        t_eval = np.linspace(0.2, 1.0, 5)
+        times, traj = integrate(ops, [1.0, 2.0], (0.0, 1.0), 1e-3, t_eval)
+        np.testing.assert_array_equal(times, t_eval)
+        assert traj.shape == (5, 2)
+        np.testing.assert_allclose(traj, np.exp(-t_eval)[:, None] * [1.0, 2.0], rtol=1e-8)
+
     def test_dt_refinement_converged(self):
         cfg = BurgersConfig(reynolds=100.0)
         s = burgers_snapshots(cfg, 0.3, 0.5, 20)
@@ -121,20 +131,3 @@ class TestBurgersForecast:
         field = reconstruct(basis, s.mean, traj[-1])
         truth = burgers_exact(s.grid.coords[:, 0], 0.6, cfg)
         assert relative_error(field, truth, s.grid) <= tol
-
-
-class TestTrajectoryExport:
-    def test_round_trip(self, tmp_path):
-        ops = GalerkinOperators(
-            np.zeros(2), -np.eye(2), np.zeros((2, 2, 2)), 1.0
-        )
-        t_eval = np.linspace(0.2, 1.0, 5)
-        times, traj = integrate(ops, [1.0, 2.0], (0.0, 1.0), 1e-3, t_eval)
-        from mbrom.galerkin import write_trajectory_csv
-
-        write_trajectory_csv(tmp_path / "traj.csv", times, traj)
-        lines = (tmp_path / "traj.csv").read_text().splitlines()
-        assert lines[0] == "t,a_1,a_2"
-        data = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 0], t_eval)
-        np.testing.assert_array_equal(data[:, 1:], traj)

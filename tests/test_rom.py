@@ -21,7 +21,7 @@ from mbrom.benchmarks import (
     burgers_exact,
     burgers_snapshots,
 )
-from mbrom.data import DomainMask, SnapshotSet, SpatialGrid
+from mbrom.data import DomainMask, SnapshotSet, SpatialGrid, load_snapshots, save_dataset
 from mbrom.gpr import GprStack, GprTolerances
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
@@ -470,6 +470,34 @@ class TestSerialization:
         for f in files:
             if (tmp_path / "a" / f).is_file():
                 assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name", ["burgers", "cavity", "disk"])
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path, name):
+        # a model and the dataset it was built from each reload to files
+        # byte-identical to the ones they were read from
+        if name == "burgers":
+            s = burgers_snapshots(BurgersConfig(reynolds=100.0, nx=201), 0.3, 0.5, 20)
+        elif name == "cavity":
+            s, _ = bubble_snapshots(BubbleConfig(), 51.0, 60.0, 10)
+        else:
+            disk2d = perfbench_disk2d()
+            s = disk2d.disk_snapshots(disk2d.DiskConfig(n_side=30), 51.0, 60.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m = build(s)
+        save_dataset(s, tmp_path / "data" / "a")
+        save_dataset(load_snapshots(tmp_path / "data" / "a"), tmp_path / "data" / "b")
+        save_rom_model(m, tmp_path / "model" / "a")
+        save_rom_model(load_rom_model(tmp_path / "model" / "a"), tmp_path / "model" / "b")
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        for kind in ("data", "model"):
+            a, b = tree(tmp_path / kind / "a"), tree(tmp_path / kind / "b")
+            assert sorted(a) == sorted(b)
+            assert [f for f in a if a[f] != b[f]] == []
+        assert ("boundary.csv" in map(str, tree(tmp_path / "data" / "a"))) == (name != "burgers")
 
     def test_schema_version_missing_reads_as_1(self, tmp_path, burgers_model):
         _, _, m = burgers_model
