@@ -1,12 +1,12 @@
 """Moving-boundary pipeline on the shrinking-cavity strain benchmark.
 
 A spherical cavity in an elastic medium shrinks over time; nodes inside it
-carry no data.  The pipeline (1) regresses the radius itself, (2) fills the
-occluded nodes so the decomposition can run over the whole grid, (3)
-forecasts the strain field past the data window, and (4) repairs the region
-that the cavity swept over, where the filled snapshot data was fabricated,
-by moving least squares interpolation from nodes that held real data
-throughout.  Everything is validated against the closed-form strain model.
+carry no data.  The pipeline (1) regresses the radius itself, (2) builds
+the decomposition on the nodes that held real data in every snapshot (it
+is 0 everywhere else), (3) forecasts the strain field past the data window,
+and (4) sets the region that the cavity swept over by moving least squares
+interpolation from those nodes.  Everything is validated against the
+closed-form strain model.
 """
 
 import numpy as np

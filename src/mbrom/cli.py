@@ -8,9 +8,10 @@ and ``adaptive``, flag values win over the optional JSON config file
 for ``--alpha-pod``); any other key is an error.  An option set by neither
 is not passed on, so the library's own default applies: the dataclasses
 ``PodThresholds``, ``GprTolerances``, ``MlsConfig``, ``BurgersConfig`` and
-``BubbleConfig``, and ``build``'s ``fill_order``.  Exit codes: 0 success, 1
-input or validation error, 2 forecast beyond the certified horizon without
---force.
+``BubbleConfig``.  ``build`` refuses moving-boundary data that it cannot
+forecast: no geometry rule (more than one boundary parameter), or no node
+fluid in every snapshot.  Exit codes: 0 success, 1 input or validation
+error, 2 forecast beyond the certified horizon without --force.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _BURGERS_WINDOW = (0.3, 0.5, 20)
 _BUBBLE_WINDOW = (51.0, 60.0, 10)
 
 # integer options, which a config file may give as floats (20.0)
-_INTS = frozenset({"nx", "nr", "m", "mls_order", "fill_order"})
+_INTS = frozenset({"nx", "nr", "m", "mls_order"})
 
 
 def _resolve(args, config: dict, key: str, default=None):
@@ -157,7 +158,6 @@ def cmd_build(args) -> int:
         thresholds=thr,
         tolerances=tol,
         mls_cfg=MlsConfig(**mls) if mls else None,
-        **_given(args, config, "fill_order"),
     )
     out = Path(args.out)
     save_rom_model(model, out)
@@ -428,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--beta-gpr-a", dest="beta_gpr_a", type=float, default=None)
     b.add_argument("--beta-gpr-gamma", dest="beta_gpr_gamma", type=float, default=None)
     b.add_argument("--mls-order", dest="mls_order", type=int, default=None)
-    b.add_argument("--fill-order", dest="fill_order", type=int, default=None)
     add_config(b)
     add_seed(b)
     b.set_defaults(func=cmd_build)

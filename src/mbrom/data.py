@@ -133,6 +133,12 @@ class BoundaryTrack:
         object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
         if self.values.shape[1] != len(self.names):
             raise ValueError("boundary values column count != number of names")
+        for name in self.names:  # each must survive boundary.csv's header line
+            if not name or name != name.strip() or any(c in name for c in ',"\r\n'):
+                raise ValueError(
+                    f"boundary name {name!r} is empty or has a comma, quote, "
+                    "line break or surrounding space"
+                )
         _require_finite(self.values, "boundary value at row")
 
     @property
@@ -336,11 +342,9 @@ def _shape_functions(
     weights: np.ndarray,
     counts: np.ndarray,
     order: int,
-    min_norm: bool = False,
 ) -> np.ndarray:
     """Shape functions of weighted least-squares polynomial fits over a batch
-    of stencils stored end to end: the one local fit of the fill and the MLS
-    correction.
+    of stencils stored end to end: the one local fit of the MLS correction.
 
     Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
     relative to its target, divided by its length scale) and of ``weights``.
@@ -348,12 +352,10 @@ def _shape_functions(
     fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
     monomials up to ``order`` and M = P^T W P, factored by Cholesky.  A fit
     whose smallest pivot is at most 1e-6 of its largest, or whose M is not
-    positive definite, does not resolve every term: with ``min_norm`` it gets
-    a = sqrt(w) pinv(sqrt(W) P)[0], the minimum-norm least-squares value (as
-    ``np.linalg.lstsq`` gives); otherwise ValueError names the direction the
-    worst-conditioned fit of its chunk cannot resolve.  Every sum runs over
-    one stencil's rows alone, so a node's shape functions are the same bits
-    whichever batch it is fitted in.
+    positive definite, does not resolve every term: ValueError names the
+    direction the worst-conditioned fit of its chunk cannot resolve.  Every
+    sum runs over one stencil's rows alone, so a node's shape functions are
+    the same bits whichever batch it is fitted in.
     """
     dim = offsets.shape[1]
     terms = _poly_terms(dim, order)
@@ -370,17 +372,16 @@ def _shape_functions(
     for a in range(0, T, step):
         b = min(a + step, T)
         rows = slice(starts[a], starts[b])
-        local = starts[a : b + 1] - starts[a]  # stencil bounds within the chunk
         Q = _poly_matrix(offsets[rows], terms2)
         P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
-        mm = np.add.reduceat(Q * weights[rows, None], local[:-1])[:, pair]
+        mm = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])[:, pair]
         try:
             L = np.linalg.cholesky(mm)
             d = np.diagonal(L, axis1=1, axis2=2)
-            weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+            weak = not (d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2).all()
         except np.linalg.LinAlgError:  # some fit is not positive definite
-            L, weak = None, np.ones(b - a, dtype=bool)
-        if weak.any() and not min_norm:
+            weak = True
+        if weak:
             evals, evecs = np.linalg.eigh(mm)
             t = np.argmin(evals[:, 0] / evals[:, -1])
             worst = np.argmax(np.abs(evecs[t, :, 0]))
@@ -388,116 +389,27 @@ def _shape_functions(
                 f"rank-deficient moment matrix: neighbors do not resolve the "
                 f"{_term_name(terms[worst])} direction"
             )
-        coef = np.zeros((b - a, len(terms)))
-        if not weak.all():
-            Lg = L[~weak]
-            y = np.linalg.solve(Lg, e0[a:b][~weak])
-            coef[~weak] = np.linalg.solve(Lg.transpose(0, 2, 1), y)[:, :, 0]
+        y = np.linalg.solve(L, e0[a:b])
+        coef = np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
         shape[rows] = weights[rows] * np.sum(P * np.repeat(coef, counts[a:b], axis=0), axis=1)
-        for t in np.flatnonzero(weak):
-            k = slice(starts[a + t], starts[a + t + 1])
-            sw = np.sqrt(weights[k])
-            shape[k] = sw * np.linalg.pinv(P[local[t] : local[t + 1]] * sw[:, None])[0]
     return shape
 
 
-def _fill(
-    grid: SpatialGrid,
-    fields: np.ndarray,
-    fluid: np.ndarray,
-    order: int,
-    times: np.ndarray | None = None,
-) -> np.ndarray:
-    """A copy of ``fields`` (M, N) with the occluded nodes (``~fluid``) of
-    each snapshot filled as ``fill_occluded`` describes.  Offsets are scaled
-    by the largest coordinate offset in the neighbor set; neighbors that do
-    not resolve every term (all on one grid line behind a straight edge,
-    say) get the minimum-norm fit.
+def fill_occluded(s: SnapshotSet) -> SnapshotSet:
+    """The snapshots with every node outside B set to 0, so POD runs on B.
 
-    The search is shared across snapshots.  One tree over the nodes that are
-    fluid in every snapshot (B) gives the k nearest B-nodes of every other
-    node, once; each snapshot searches only its swept nodes (fluid now, not
-    in B), and each target keeps the first k of both lists by (d2, node
-    index).  That is its k nearest fluid nodes: any B-node among them is
-    among the k nearest B-nodes.
+    B is the set of nodes fluid in every snapshot.  Outside it the mean is
+    then 0, and so is every mode of the basis that ``rom.build`` makes; a
+    forecast takes its values there from the MLS correction.  All-fluid data
+    comes back as it is.  Masks are kept so later stages still know which
+    nodes carried real data.
     """
-    out = fields.copy()
-    occluded = ~fluid
-    snaps = np.flatnonzero(occluded.any(axis=1))
-    if snaps.size == 0:
-        return out
-    n_terms = len(_poly_terms(grid.dim, order))
-    n_fluid = fluid.sum(axis=1)
-    short = snaps[n_fluid[snaps] < n_terms]
-    if short.size:
-        i = short[0]
-        when = f" (t = {times[i]:.6g})" if times is not None else ""
-        raise ValueError(
-            f"snapshot {i + 1}{when}: occluded node with only {n_fluid[i]} "
-            f"fluid neighbors, need at least {n_terms} for order {order}"
-        )
-    k = 3 * n_terms
-    coords = grid.coords
-    always = fluid.all(axis=0)
-    base = np.flatnonzero(always)
-    row = np.cumsum(~always) - 1  # a node's row in the B-neighbor lists
-    base_idx = np.empty((fields.shape[1] - base.size, 0), dtype=np.intp)
-    base_d2 = np.empty(base_idx.shape)
-    if base.size:
-        pts = coords[base]
-        base_idx, base_d2 = _nearest(_tree(pts), pts, coords[~always], k)
-        base_idx = base[base_idx]
-    for i in snaps:
-        targets = np.flatnonzero(occluded[i])
-        x = coords[targets]
-        idx, d2 = base_idx[row[targets]], base_d2[row[targets]]
-        swept = np.flatnonzero(fluid[i] & ~always)
-        if swept.size:
-            pts = coords[swept]
-            swept_idx, swept_d2 = _nearest(_tree(pts), pts, x, k)
-            idx = np.hstack([idx, swept[swept_idx]])
-            d2 = np.hstack([d2, swept_d2])
-            idx = np.take_along_axis(idx, np.lexsort((idx, d2))[:, :k], axis=1)
-        centered = coords.take(idx, axis=0) - x[:, None, :]
-        scale = np.max(np.abs(centered), axis=(1, 2))
-        scale[scale == 0] = 1.0
-        T, width = idx.shape  # width < k if the snapshot has fewer fluid nodes
-        shape = _shape_functions(
-            (centered / scale[:, None, None]).reshape(-1, grid.dim),
-            np.ones(idx.size),
-            np.full(T, width),
-            order,
-            min_norm=True,
-        )
-        out[i, targets] = np.add.reduceat(
-            shape * fields[i, idx].ravel(), np.arange(0, idx.size, width)
-        )
-    return out
-
-
-def _ls_extrapolate(grid: SpatialGrid, values: np.ndarray, fluid: np.ndarray, order: int) -> np.ndarray:
-    """The fill of one snapshot: ``values`` with its occluded nodes fitted."""
-    return _fill(grid, values[None], fluid[None], order)[0]
-
-
-def fill_occluded(s: SnapshotSet, order: int = 0) -> SnapshotSet:
-    """Assign values to occluded nodes so POD can run on the full domain.
-
-    Each snapshot's occluded nodes get an unweighted least-squares
-    polynomial of the given order, fitted over the k = 3 x terms nearest
-    fluid nodes of that snapshot (equal distances in order of node index)
-    and evaluated at the occluded node (``_fill``).  A snapshot with fewer
-    fluid nodes than terms is a ValueError naming it.  Masks are kept so
-    later stages still know which nodes carried real data.
-    """
-    if order < 0:
-        raise ValueError("polynomial order must be >= 0")
     if s.all_fluid():
         return s
     return SnapshotSet(
         grid=s.grid,
         times=s.times,
-        fields=_fill(s.grid, s.fields, s.fluid, order, s.times),
+        fields=np.where(s.fluid_throughout(), s.fields, 0.0),
         masks=s.masks,
         boundary=s.boundary,
         field_name=s.field_name,
@@ -674,11 +586,8 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
         write_matrix(out / "masks.csv", s.fluid.astype(int), fmt="%d")
         meta["masks"] = "masks.csv"
     if s.boundary is not None:
-        with open(out / "boundary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(s.boundary.names)
-            for row in s.boundary.values:
-                writer.writerow([FMT % v for v in row])
+        names = ",".join(s.boundary.names)
+        write_matrix(out / "boundary.csv", s.boundary.values, header=names)
         meta["boundary"] = "boundary.csv"
     write_json(out / "manifest.json", meta)
     return out / "manifest.json"

@@ -4,13 +4,16 @@ A locally weighted polynomial is fitted over trusted neighbor nodes and
 evaluated at a target node.  The basis is centered at the target and scaled
 by the support radius, so the moment matrix stays well conditioned.
 
+In a forecast the correction supplies the value of every fluid node
+outside B, the nodes fluid in every snapshot: the basis is built on B and
+is 0 everywhere else.  A node the correction leaves uncorrected reads 0.
+
 The fit is used in its shape-function form, through the one local-fit
-kernel that the occluded fill shares (``data._shape_functions``).  The value
-at node j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
-stencil (the trusted nodes strictly inside its radius h_j) and
-a_j = W P M^-1 e_0 are its shape functions.  S_j, h_j and a_j depend on the
-grid, the configuration and the trusted set, not on the field or the query
-time.  A ``StencilCache`` keeps them for one trusted set
+kernel (``data._shape_functions``).  The value at node j is linear in the
+field, v_j = a_j . f[S_j], where S_j is the node's stencil (the trusted
+nodes strictly inside its radius h_j) and a_j = W P M^-1 e_0 are its shape
+functions.  S_j, h_j and a_j depend on the grid, the configuration and the
+trusted set, not on the field or the query time.  A ``StencilCache`` keeps them for one trusted set
 (``fluid_now & window_all_fluid`` in a forecast) and fits each node the
 first time it is exposed; a different trusted set replaces the contents.
 Each RomModel owns one cache, which is not saved with the model, so a
@@ -29,14 +32,21 @@ coefficients agrees with a_j . f[S_j] to rounding, within
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from pathlib import Path
+
 import numpy as np
 
-from .data import FMT, SpatialGrid, _balls, _nearest, _poly_terms, _shape_functions, _tree
+from .data import (
+    SpatialGrid,
+    _balls,
+    _nearest,
+    _poly_terms,
+    _shape_functions,
+    _tree,
+    write_matrix,
+)
 
 __all__ = [
     "MlsConfig",
@@ -145,13 +155,12 @@ class CorrectionReport:
         return np.array([r[0] for r in self.rows], dtype=int)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "h", "before", "after", "lebesgue"])
-            for (node, h, before, after), lam in zip_longest(
-                self.rows, self.lebesgue, fillvalue=float("nan")
-            ):
-                writer.writerow([node, FMT % h, FMT % before, FMT % after, FMT % lam])
+        """One line per row, node first; a row without a Lebesgue constant
+        gets nan.  A node index prints as an integer under ``FMT``."""
+        lebesgue = np.full(len(self.rows), np.nan)
+        lebesgue[: len(self.lebesgue)] = self.lebesgue
+        mat = np.column_stack([np.reshape(self.rows, (-1, 4)), lebesgue])
+        write_matrix(path, mat, header="node,h,before,after,lebesgue")
 
 
 class StencilCache:
@@ -252,15 +261,15 @@ def correct_field(
 ) -> tuple[np.ndarray, CorrectionReport]:
     """Replace values at newly exposed nodes by MLS fits over trusted nodes.
 
-    ``exposed`` holds indices (or a boolean mask) of nodes whose values came
-    from filled data; ``fluid_history`` flags nodes that carried real data
-    throughout the window and remain in the fluid at the query time.  Support
-    radii come from the ladder h0, 1.5 h0, 1.5^2 h0, ... (``max_growths``
-    steps; h0 is the configured kernel length, default 3x grid spacing): each
-    node takes the first rung strictly beyond its distance to its
-    ``required_neighbors``-th nearest trusted node, and fits over the trusted
-    nodes inside that radius.  Nodes beyond the last rung are left untouched
-    and reported.
+    ``exposed`` holds indices (or a boolean mask) of nodes whose values the
+    snapshots did not supply; ``fluid_history`` flags nodes that carried real
+    data throughout the window and remain in the fluid at the query time.
+    Support radii come from the ladder h0, 1.5 h0, 1.5^2 h0, ...
+    (``max_growths`` steps; h0 is the configured kernel length, default 3x
+    grid spacing): each node takes the first rung strictly beyond its
+    distance to its ``required_neighbors``-th nearest trusted node, and fits
+    over the trusted nodes inside that radius.  Nodes beyond the last rung
+    are left untouched and reported.
 
     The fit is applied through its shape functions, kept in ``cache`` (a
     fresh one when not given) for the next call over the same trusted set.

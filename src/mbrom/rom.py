@@ -1,16 +1,18 @@
 """Builds and drives the reduced-order model.
 
 A RomModel packages the truncated basis, one GP per mode coefficient and,
-for moving-boundary data, one GP per boundary parameter.  Forecasts combine
-the three horizon criteria, reconstruct the field at the query time, and
-apply the moving least squares correction to nodes whose snapshot data was
-fabricated by the occluded fill.
+for moving-boundary data, one GP per boundary parameter.  On moving-boundary
+data the mean and the basis are built on B, the nodes fluid in every
+snapshot, and are 0 elsewhere.  Forecasts combine the three horizon
+criteria, reconstruct the field at the query time, and set every fluid node
+outside B by the moving least squares correction from the trusted nodes
+(fluid now and in B).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -138,7 +140,7 @@ class RomModel:
         return self._fluid_mask(self.posterior(t_query)[2])
 
     def _fluid_mask(self, gamma: np.ndarray | None) -> np.ndarray | None:
-        if gamma is None or self.boundary_geometry is None:
+        if gamma is None:
             return None
         if callable(self.boundary_geometry):
             return np.asarray(self.boundary_geometry(self.grid, gamma), dtype=bool)
@@ -170,44 +172,49 @@ def build(
     thresholds: PodThresholds = PodThresholds(),
     tolerances: GprTolerances = GprTolerances(),
     mls_cfg: MlsConfig | None = None,
-    fill_order: int = 0,
     boundary_geometry: str | Callable | None = None,
     seed: int = 0,
 ) -> RomModel:
-    """Construct the ROM: occluded fill, POD, then the GPs and their horizons.
+    """Construct the ROM: POD, then the GPs and their horizons.
 
-    Moving-boundary datasets must carry a boundary track.  The occluded fill
-    completes their snapshot data so POD runs over the whole grid; the
-    boundary-parameter GPs and the mode GPs are then trained in one call,
-    and the boundary GPs bound the forecast through their own horizon.
-    Under the ``"radius"`` geometry every snapshot's mask must be the rule's
-    (fluid where the node radius is at least the first boundary parameter).
-    ``seed`` is accepted and ignored: training is deterministic.  It stays
-    because the benchmark (``perfbench/workloads.py``) passes ``seed=0``.
+    Moving-boundary datasets must carry a boundary track and a geometry rule
+    that maps the boundary parameters to a fluid mask: a callable, or the
+    ``"radius"`` rule, the default for one parameter (fluid where the node
+    radius is at least it; every snapshot's mask must then be the rule's).
+    Their POD runs on B, the nodes fluid in every snapshot, which must not
+    be empty (``fill_occluded``); a forecast sets every other fluid node by
+    the MLS correction.  The boundary-parameter GPs and the mode GPs are
+    trained in one call, and the boundary GPs bound the forecast through
+    their own horizon.  ``seed`` is accepted and ignored: training is
+    deterministic.  It stays because the benchmark
+    (``perfbench/workloads.py``) passes ``seed=0``.
     """
-    if fill_order < 0:
-        raise ValueError("fill_order must be >= 0")
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
     scan_step = (tM - t1) / s.n_snapshots
 
     geometry = boundary_geometry
     radii = None
+    always = s.fluid_throughout()
     if moving:
         if s.boundary is None:
             raise ValueError("moving-boundary snapshots need a boundary track")
         if geometry is None and s.boundary.n_params == 1:
             geometry = "radius"
         if geometry is None:
-            warnings.warn(
-                "no boundary geometry rule; forecasts skip the exposed-node "
-                "correction",
-                stacklevel=2,
+            raise ValueError(
+                f"{s.boundary.n_params} boundary parameters and no boundary "
+                "geometry rule: a forecast could not find the exposed nodes"
             )
         if geometry == "radius":
             radii = _node_radii(s.grid)
             _check_radius_masks(s, radii)
-        filled = fill_occluded(s, order=fill_order)
+        if not always.any():
+            raise ValueError(
+                "no node is fluid in every snapshot: B, the node set the "
+                "basis is built on, is empty"
+            )
+        filled = fill_occluded(s)
     else:
         if s.boundary is not None:
             warnings.warn(
@@ -219,6 +226,8 @@ def build(
     horizon_pod = _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)
     outputs = basis.coeffs[:, :basis.retained]
     if moving:
+        # the modes are 0 off B, where the SVD leaves rounding-level values
+        basis = replace(basis, modes=np.where(always, basis.modes, 0.0))
         outputs = np.column_stack([s.boundary.values, outputs])
     models = train_many(filled.times, outputs)
     split = len(models) - basis.retained  # the boundary GPs come first
@@ -242,7 +251,7 @@ def build(
         t1=t1,
         tM=tM,
         scan_step=scan_step,
-        window_all_fluid=s.fluid_throughout(),
+        window_all_fluid=always,
         horizon_pod=horizon_pod,
         horizon_gpr_a=horizon_a,
         mls_cfg=mls_cfg if mls_cfg is not None else (MlsConfig() if moving else None),
@@ -302,22 +311,19 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
     if gamma is not None:
         boundary_values = dict(zip(m.boundary.names, map(float, gamma)))
         fluid_now = m._fluid_mask(gamma)
-        if fluid_now is not None:
-            exposed = fluid_now & ~m.window_all_fluid
-            history = fluid_now & m.window_all_fluid
-            before = field_values
-            field_values, report = correct_field(
-                before,
-                exposed,
-                history,
-                m.grid,
-                m.mls_cfg if m.mls_cfg is not None else MlsConfig(),
-                m.mls_cache,
-            )
-            corrected_nodes = report.corrected_nodes()
-            # correct_field returns a new array, changed only at corrected nodes
-            delta = field_values - before
-            eps_mls = float(np.sqrt(inner_product(delta, delta, m.grid)))
+        before = field_values
+        field_values, report = correct_field(
+            before,
+            fluid_now & ~m.window_all_fluid,
+            fluid_now & m.window_all_fluid,
+            m.grid,
+            m.mls_cfg if m.mls_cfg is not None else MlsConfig(),
+            m.mls_cache,
+        )
+        corrected_nodes = report.corrected_nodes()
+        # correct_field returns a new array, changed only at corrected nodes
+        delta = field_values - before
+        eps_mls = float(np.sqrt(inner_product(delta, delta, m.grid)))
 
     return RomForecast(
         t_query=t_query,
@@ -427,6 +433,13 @@ def adaptive_loop(
 
 
 def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
+    """Write the model as a directory; a callable geometry rule is refused,
+    since a reloaded model could not find the exposed nodes."""
+    if callable(m.boundary_geometry):
+        raise ValueError(
+            "a callable boundary geometry cannot be saved: the reloaded model "
+            "could not find the exposed nodes"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _pod.save_pod_basis(m.basis, out / "pod")
@@ -470,12 +483,6 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         meta["gpr_gamma_capped"] = m.horizon_gpr_gamma.capped
         track = {"names": m.boundary.names, "values": m.boundary.values.tolist()}
         write_json(out / "boundary_track.json", track, indent=None)
-        if callable(m.boundary_geometry):
-            warnings.warn(
-                "callable boundary geometry is not serializable; reloaded "
-                "model will skip the correction step",
-                stacklevel=2,
-            )
     write_json(out / "model.json", meta)
 
 

@@ -1,12 +1,11 @@
-"""Per-node reference implementations of the occluded fill and the MLS
-correction: one brute-force neighbor scan and one dense solve per node.
+"""Per-node reference implementation of the MLS correction: one
+brute-force neighbor scan and one dense solve per node.
 
-The library batches both steps over a k-d tree; these loops are the plain
-definition they are checked against.  ``_local_fit`` is the batched
+The library batches the correction over a k-d tree; this loop is the plain
+definition it is checked against.  ``_local_fit`` is the batched
 coefficient fit the library used before its one shape-function kernel:
-``batched_fill_oracle`` and ``batched_correct_oracle`` are the fill and the
-correction on it, the references for the shape-function form to within
-rounding.
+``batched_correct_oracle`` is the correction on it, the reference for the
+shape-function form to within rounding.
 """
 
 import numpy as np
@@ -17,23 +16,19 @@ from mbrom.data import _balls, _nearest, _poly_matrix, _poly_terms, _term_name
 from mbrom.mls import wendland_c2
 
 
-def _cholesky_moments(
-    mm: np.ndarray, terms: list[tuple[int, ...]], min_norm: bool = False
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Cholesky factors of a (T, n, n) stack of moment matrices, and which
-    fits are weak: smallest pivot at most 1e-6 of the largest, or not
-    positive definite.  Unless ``min_norm`` (the caller handles weak fits),
-    a weak fit raises ValueError naming the direction the worst-conditioned
-    fit cannot resolve.  The factors are None when some fit is not positive
-    definite.
+def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
+    """Cholesky factors of a (T, n, n) stack of moment matrices.  A weak fit
+    (smallest pivot at most 1e-6 of the largest, or not positive definite)
+    raises ValueError naming the direction the worst-conditioned fit cannot
+    resolve.
     """
     try:
         L = np.linalg.cholesky(mm)
         d = np.diagonal(L, axis1=1, axis2=2)
-        weak = ~(d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2)
+        weak = not (d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2).all()
     except np.linalg.LinAlgError:  # some fit is not positive definite
-        L, weak = None, np.ones(mm.shape[0], dtype=bool)
-    if weak.any() and not min_norm:
+        weak = True
+    if weak:
         evals, evecs = np.linalg.eigh(mm)
         t = np.argmin(evals[:, 0] / evals[:, -1])
         worst = np.argmax(np.abs(evecs[t, :, 0]))
@@ -41,7 +36,7 @@ def _cholesky_moments(
             f"rank-deficient moment matrix: neighbors do not resolve the "
             f"{_term_name(terms[worst])} direction"
         )
-    return L, weak
+    return L
 
 
 def _local_fit(
@@ -49,7 +44,6 @@ def _local_fit(
     values: np.ndarray,
     weights: np.ndarray,
     terms: list[tuple[int, ...]],
-    min_norm: bool = False,
 ) -> np.ndarray:
     """Weighted least-squares polynomial fits around a batch of target nodes.
 
@@ -58,10 +52,8 @@ def _local_fit(
     ``weights`` are (T, K), and padding slots carry weight 0.  Returns the
     (T, n) coefficients in the centered, scaled monomial basis; column 0 is
     each fit's value at its target.  The (T, n, n) moment matrices are solved
-    by Cholesky.  A fit whose smallest pivot is at most 1e-6 of its largest
-    does not resolve every term: with ``min_norm`` it gets the minimum-norm
-    least-squares solution (as ``np.linalg.lstsq`` gives), otherwise
-    ValueError names the direction the worst-conditioned fit cannot resolve.
+    by Cholesky; a fit that does not resolve every term raises ValueError
+    (``_cholesky_moments``).
     """
     T, K, dim = offsets.shape
     n = len(terms)
@@ -73,67 +65,13 @@ def _local_fit(
         Pw = P * weights[a : a + step, :, None]
         mm[a : a + step] = np.matmul(Pw.transpose(0, 2, 1), P)
         rhs[a : a + step] = np.einsum("tkn,tk->tn", Pw, values[a : a + step])
-    L, weak = _cholesky_moments(mm, terms, min_norm)
-    coef = np.empty((T, n))
-    if not weak.all():
-        y = np.linalg.solve(L[~weak], rhs[~weak, :, None])
-        coef[~weak] = np.linalg.solve(L[~weak].transpose(0, 2, 1), y)[:, :, 0]
-    if weak.any():
-        sw = np.sqrt(weights[weak])
-        A = _poly_matrix(offsets[weak].reshape(-1, dim), terms).reshape(-1, K, n)
-        b = (sw * values[weak])[:, :, None]
-        coef[weak] = (np.linalg.pinv(A * sw[:, :, None]) @ b)[:, :, 0]
-    return coef
+    L = _cholesky_moments(mm, terms)
+    y = np.linalg.solve(L, rhs[:, :, None])
+    return np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
 
 
 def _monomials(pts, terms):
     return np.column_stack([np.prod(pts ** np.array(e), axis=1) for e in terms])
-
-
-def fill_oracle(coords, values, fluid, order):
-    """Least-squares extension into ~fluid over the 3 x terms nearest fluid
-    nodes, distance ties to the lower index."""
-    out = np.array(values, dtype=float)
-    flu = np.flatnonzero(fluid)
-    terms = _poly_terms(coords.shape[1], order)
-    k = 3 * len(terms)
-    for j in np.flatnonzero(~fluid):
-        d2 = np.sum((coords[flu] - coords[j]) ** 2, axis=1)
-        sel = flu[np.argsort(d2, kind="stable")[:k]]
-        centered = coords[sel] - coords[j]
-        scale = np.max(np.abs(centered))
-        scale = scale if scale > 0 else 1.0
-        A = _monomials(centered / scale, terms)
-        c, *_ = np.linalg.lstsq(A, values[sel], rcond=None)
-        out[j] = c[0]
-    return out
-
-
-def batched_fill_oracle(grid, values, fluid, order):
-    """The fill as one batch of coefficient fits over the k = 3 x terms
-    nearest fluid nodes (the library's form before shape functions): each
-    value is the first coefficient, minimum-norm where a fit is weak."""
-    out = np.array(values, dtype=float)
-    occ = np.flatnonzero(~fluid)
-    if occ.size == 0:
-        return out
-    flu = np.flatnonzero(fluid)
-    terms = _poly_terms(grid.dim, order)
-    pts = grid.coords[flu]
-    targets = grid.coords[occ]
-    sel, _ = _nearest(cKDTree(pts), pts, targets, 3 * len(terms))
-    centered = pts[sel] - targets[:, None, :]
-    scale = np.max(np.abs(centered), axis=(1, 2))
-    scale[scale == 0] = 1.0
-    coef = _local_fit(
-        centered / scale[:, None, None],
-        out[flu[sel]],
-        np.ones(sel.shape),
-        terms,
-        min_norm=True,
-    )
-    out[occ] = coef[:, 0]
-    return out
 
 
 def correct_oracle(field_values, exposed, fluid_history, grid, cfg):

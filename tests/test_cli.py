@@ -15,7 +15,7 @@ import pytest
 import mbrom
 from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
 from mbrom.cli import _build_parser, _load_config, main
-from mbrom.data import load_snapshots, save_dataset
+from mbrom.data import BoundaryTrack, SnapshotSet, load_snapshots, save_dataset
 from mbrom.rom import build, load_rom_model, save_rom_model
 
 
@@ -99,7 +99,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("key", ["alpha-pod", "seed", "fill-order"])
     def test_unknown_config_key_refused(self, built_model, tmp_path, capsys, key):
-        # a misspelt option (dashes, not its dest) and the retired seed key
+        # a misspelt option (dashes, not its dest), the retired seed key and
+        # the removed fill-order option
         ds, _ = built_model
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"alpha_pod": 0.2, key: 1}))
@@ -133,7 +134,7 @@ class TestConfigKeys:
     KEYS = {
         "gen": {"re", "nx", "nr", "amplitude", "omega", "t1", "tm", "m"},
         "build": {"alpha_pod", "beta_pod", "beta_gpr_a", "beta_gpr_gamma",
-                  "mls_order", "fill_order"},
+                  "mls_order"},
         "adaptive": {"re", "m", "dt", "t_start", "t_target", "alpha_pod",
                      "beta_pod", "beta_gpr_a"},
     }
@@ -307,6 +308,24 @@ class TestBubbleFileFlow:
         assert lines[0] == "node,h,before,after,lebesgue"
         assert len(lines) == summary["corrected_node_count"] + 1
         assert all(float(line.split(",")[4]) >= 1.0 for line in lines[1:])
+
+    def test_no_file_holds_a_carriage_return(self, tmp_path):
+        assert main(["gen", "bubble", "--out", str(tmp_path / "ds")]) == 0
+        assert main(["build", str(tmp_path / "ds"), "--out", str(tmp_path / "model")]) == 0
+        assert main(["forecast", str(tmp_path / "model"), "--t", "64.0", "--force",
+                     "--out", str(tmp_path / "fc")]) == 0
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert {"boundary.csv", "correction_report.csv"} <= {p.name for p in written}
+        assert [p.name for p in written if b"\r" in p.read_bytes()] == []
+
+    def test_build_without_geometry_rule_exits_1(self, tmp_path, capsys):
+        s, track = bubble_snapshots(BubbleConfig(nr=120), 51.0, 60.0, 10)
+        two = BoundaryTrack(["R", "R2"], np.column_stack([track.values] * 2))
+        save_dataset(SnapshotSet(s.grid, s.times, s.fields, s.masks, two), tmp_path / "ds")
+        out = tmp_path / "model"
+        assert main(["build", str(tmp_path / "ds"), "--out", str(out)]) == 1
+        assert "no boundary geometry rule" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_horizon_includes_boundary(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -1,19 +1,14 @@
-"""The batched, k-d-tree-indexed fill and MLS correction against their
-per-node definitions (``local_fit_oracles``), plus polynomial reproduction
-on random 2D scatter, and the cached shape functions of the correction."""
+"""The batched, k-d-tree-indexed MLS correction against its per-node
+definition (``local_fit_oracles``), plus polynomial reproduction on random
+2D scatter, and the cached shape functions of the correction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from local_fit_oracles import (
-    batched_correct_oracle,
-    batched_fill_oracle,
-    correct_oracle,
-    fill_oracle,
-)
-from mbrom.data import SpatialGrid, _ls_extrapolate
+from local_fit_oracles import batched_correct_oracle, correct_oracle
+from mbrom.data import SpatialGrid
 from mbrom.mls import MlsConfig, StencilCache, correct_field
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -48,76 +43,6 @@ def moving_front(grid, rng):
     history = r >= r1
     exposed = np.flatnonzero((r >= rng.uniform(0.3, 0.8) * r1) & ~history)
     return exposed, history
-
-
-class TestFillOracle:
-    @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12),
-           order=st.integers(0, 1), p_occ=st.floats(0.05, 0.6))
-    def test_matches_per_node_fill(self, seed, n, order, p_occ):
-        grid, rng = scatter(seed, n)
-        fluid = rng.random(n * n) >= p_occ
-        fluid[rng.integers(n * n)] = False
-        fluid[:3] = True
-        values = np.where(fluid, rng.standard_normal(n * n), 0.0)
-        out = _ls_extrapolate(grid, values, fluid, order)
-        ref = fill_oracle(grid.coords, values, fluid, order)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(values).max())
-
-    @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12),
-           p_occ=st.floats(0.05, 0.6))
-    def test_order_0_matches_coefficient_fill(self, seed, n, p_occ):
-        # an order-0 fill is a mean of k values, as shape functions or as
-        # the first coefficient; the two differ by rounding alone
-        grid, rng = scatter(seed, n)
-        fluid = rng.random(n * n) >= p_occ
-        fluid[rng.integers(n * n)] = False
-        fluid[:3] = True
-        values = np.where(fluid, rng.standard_normal(n * n), 0.0)
-        out = _ls_extrapolate(grid, values, fluid, 0)
-        ref = batched_fill_oracle(grid, values, fluid, 0)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15 * np.abs(values).max())
-
-    @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 12),
-           degree=st.integers(0, 2))
-    def test_reproduces_polynomials(self, seed, n, degree):
-        grid, rng = scatter(seed, n)
-        exposed, history = moving_front(grid, rng)
-        poly = random_poly(rng, degree)(grid.coords)
-        out = _ls_extrapolate(grid, np.where(history, poly, 0.0), history, degree)
-        np.testing.assert_allclose(out, poly, rtol=0, atol=1e-8 * np.abs(poly).max())
-
-    @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    def test_straight_edge_gets_minimum_norm_fit(self, order):
-        # behind a straight edge the nearest fluid nodes of a far occluded
-        # node lie on a few grid lines that cannot resolve every term; the
-        # fill then takes the minimum-norm fit, as np.linalg.lstsq does
-        xs = np.linspace(0.0, 1.0, 30)
-        gx, gy = np.meshgrid(xs, xs)
-        coords = np.column_stack([gx.ravel(), gy.ravel()])
-        grid = SpatialGrid(dim=2, coords=coords, quad_weights=np.full(900, 29.0**-2))
-        fluid = coords[:, 0] >= 0.3
-        values = np.where(fluid, np.sin(3 * coords[:, 0]) + coords[:, 1], 0.0)
-        out = _ls_extrapolate(grid, values, fluid, order)
-        ref = fill_oracle(coords, values, fluid, order)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-11)
-
-    def test_distance_ties_go_to_lower_index(self):
-        # on an integer lattice the four nodes next to the centre are exactly
-        # equidistant; an order-0 fill averages the k = 3 lowest-indexed ones
-        xs = np.arange(5.0)
-        gx, gy = np.meshgrid(xs, xs)
-        coords = np.column_stack([gx.ravel(), gy.ravel()])
-        grid = SpatialGrid(dim=2, coords=coords, quad_weights=np.ones(25))
-        fluid = np.ones(25, bool)
-        fluid[12] = False
-        values = np.arange(25.0) ** 2
-        out = _ls_extrapolate(grid, values, fluid, 0)
-        assert out[12] == pytest.approx((7**2 + 11**2 + 13**2) / 3, rel=1e-15)
-        assert out[12] == pytest.approx(fill_oracle(coords, values, fluid, 0)[12],
-                                        rel=1e-15)
 
 
 class TestCorrectionOracle:

@@ -4,11 +4,14 @@ import dataclasses
 import importlib.util
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mbrom.mls
 import mbrom.rom
@@ -21,7 +24,14 @@ from mbrom.benchmarks import (
     burgers_exact,
     burgers_snapshots,
 )
-from mbrom.data import DomainMask, SnapshotSet, SpatialGrid, load_snapshots, save_dataset
+from mbrom.data import (
+    BoundaryTrack,
+    DomainMask,
+    SnapshotSet,
+    SpatialGrid,
+    load_snapshots,
+    save_dataset,
+)
 from mbrom.gpr import GprStack, GprTolerances
 from mbrom.pod import PodThresholds, reconstruct
 from mbrom.rom import (
@@ -65,12 +75,6 @@ class TestBuild:
         assert m.horizon_gpr_gamma is None
         assert m.mls_cfg is None
 
-    def test_negative_fill_order_rejected_on_all_fluid_data(self, burgers_model):
-        # the fill never runs on all-fluid data; the order is checked anyway
-        _, s, _ = burgers_model
-        with pytest.raises(ValueError, match="fill_order"):
-            build(s, fill_order=-1)
-
     def test_moving_boundary_requires_track(self):
         cfg = BubbleConfig()
         s, _ = bubble_snapshots(cfg, 51.0, 60.0, 10)
@@ -93,6 +97,24 @@ class TestBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             build(bad, boundary_geometry=lambda grid, gamma: np.ones(grid.n_nodes, bool))
+
+    def test_moving_build_without_geometry_rule_refused(self, bubble_model):
+        # two boundary parameters: no default rule finds the exposed nodes
+        _, s, _ = bubble_model
+        track = BoundaryTrack(["R", "R2"], np.column_stack([s.boundary.values] * 2))
+        two = SnapshotSet(s.grid, s.times, s.fields, masks=s.masks, boundary=track)
+        with pytest.raises(ValueError, match="2 boundary parameters and no boundary geometry rule"):
+            build(two)
+
+    def test_empty_always_fluid_set_refused(self):
+        # each node is covered in one snapshot or the other
+        g = SpatialGrid.uniform_1d(0.0, 1.0, 10)
+        fluid = np.arange(10) < 5
+        s = SnapshotSet(g, [0.0, 1.0], np.ones((2, 10)),
+                        masks=[DomainMask(fluid), DomainMask(~fluid)],
+                        boundary=BoundaryTrack(["R"], [[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="no node is fluid in every snapshot"):
+            build(s, boundary_geometry=lambda grid, gamma: np.ones(grid.n_nodes, bool))
 
     def test_mode_model_count_matches_r(self, bubble_model):
         _, _, m = bubble_model
@@ -358,6 +380,44 @@ class TestStencilCache:
             assert np.all(np.abs(out[nodes] - ref[nodes]) <= 1e-12 * lam * scale)
 
 
+class TestBasisOnAlwaysFluidNodes:
+    """The mean, the basis and the POD tail see only B, the nodes fluid in
+    every snapshot: no snapshot value outside B reaches the model."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]))
+    def test_values_outside_b_leave_the_saved_model_unchanged(self, data, dim):
+        side = data.draw(st.integers(8, 30) if dim == 1 else st.integers(4, 8))
+        axis = np.linspace(-1.0, 1.0, side)
+        coords = np.array(np.meshgrid(*[axis] * dim)).reshape(dim, -1).T
+        grid = SpatialGrid(dim=dim, coords=coords, quad_weights=np.full(len(coords), 0.1))
+        r = np.sqrt(np.sum(coords**2, axis=1))  # the radius rule's node radii
+        M = data.draw(st.integers(3, 6))
+        R = np.array(data.draw(st.lists(
+            st.floats(0.0, 0.8 * r.max()), min_size=M, max_size=M
+        )))
+        fluid = r >= R[:, None]
+        always = fluid.all(axis=0)
+        assume((fluid & ~always).any())  # some node is fluid in some snapshots only
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fields = rng.standard_normal(fluid.shape)
+        changed = fields + np.where(always, 0.0, rng.standard_normal(fluid.shape))
+        files = []
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k, f in enumerate((fields, changed)):
+                s = SnapshotSet(grid, np.arange(M, dtype=float), f,
+                                masks=[DomainMask(row) for row in fluid],
+                                boundary=BoundaryTrack(["R"], R[:, None]))
+                m = build(s)
+                assert not m.mean[~always].any() and not m.basis.modes[:, ~always].any()
+                save_rom_model(m, Path(tmp) / str(k))
+                root = Path(tmp) / str(k)
+                files.append({p.relative_to(root): p.read_bytes()
+                              for p in sorted(root.rglob("*")) if p.is_file()})
+        assert files[0] == files[1]
+
+
 class TestRelativeError:
     def grid(self):
         return SpatialGrid.uniform_1d(0.0, 1.0, 11)
@@ -498,6 +558,13 @@ class TestSerialization:
             assert sorted(a) == sorted(b)
             assert [f for f in a if a[f] != b[f]] == []
         assert ("boundary.csv" in map(str, tree(tmp_path / "data" / "a"))) == (name != "burgers")
+
+    def test_callable_geometry_refused(self, tmp_path):
+        s, _ = bubble_snapshots(BubbleConfig(nr=120), 51.0, 60.0, 10)
+        m = build(s, boundary_geometry=closing_wall)
+        with pytest.raises(ValueError, match="a callable boundary geometry cannot be saved"):
+            save_rom_model(m, tmp_path / "model")
+        assert not (tmp_path / "model").exists()
 
     def test_schema_version_missing_reads_as_1(self, tmp_path, burgers_model):
         _, _, m = burgers_model
