@@ -9,19 +9,13 @@ are flagged by a per-snapshot mask.  Matrices are stored as headerless CSV
 from __future__ import annotations
 
 import csv
-import itertools
 import json
-import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 __all__ = [
     "SpatialGrid",
@@ -227,172 +221,6 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: SpatialGrid) -> float:
             f"vector lengths {f.shape[0]}, {g.shape[0]} != grid size {grid.n_nodes}"
         )
     return float(np.sum(f * g * grid.quad_weights))
-
-
-def _poly_terms(dim: int, order: int) -> list[tuple[int, ...]]:
-    """Monomial exponent tuples of total degree <= order."""
-    if dim == 1:
-        return [(p,) for p in range(order + 1)]
-    return [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
-
-
-def _poly_matrix(pts: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
-    """Monomials ``terms`` evaluated at each row of ``pts``: (N, n_terms)."""
-    order = max(sum(e) for e in terms)
-    pows = []
-    for x in pts.T:
-        pows.append([np.ones_like(x)])
-        for _ in range(order):
-            pows[-1].append(pows[-1][-1] * x)
-    return np.column_stack(
-        [reduce(operator.mul, (pows[d][p] for d, p in enumerate(e))) for e in terms]
-    )
-
-
-def _term_name(e: tuple[int, ...]) -> str:
-    axes = "xy"
-    parts = [
-        axes[d] if p == 1 else f"{axes[d]}^{p}"
-        for d, p in enumerate(e)
-        if p > 0
-    ]
-    return "*".join(parts) if parts else "1"
-
-
-def _tree(pts: np.ndarray) -> cKDTree:
-    """k-d tree over ``pts`` for ``_nearest`` and ``_balls``.
-
-    The sliding-midpoint split (Maneewongvatana & Mount 1999) builds faster
-    than the median split on grids; query distances do not depend on the
-    split.  scipy.spatial loads on first use, not with the package.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(pts, balanced_tree=False, compact_nodes=False)
-
-
-def _d2(pts: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Squared distance from each target to its nodes ``idx`` (T, K) of ``pts``.
-
-    The bits are those of ``np.sum((pts[idx] - targets[:, None, :]) ** 2,
-    axis=2)``: with at most two coordinates the sum is one addition.  It is
-    formed a coordinate column at a time, which skips numpy's slow gather of
-    point rows and its reduction over a length-2 axis.
-    """
-    return reduce(
-        operator.add, [(p.take(idx) - x[:, None]) ** 2 for p, x in zip(pts.T, targets.T)]
-    )
-
-
-def _balls(
-    tree: cKDTree, pts: np.ndarray, targets: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of ``pts`` (indexed by ``tree``) within distance ``r`` of each target.
-
-    Returns (T, K) indices and squared distances, each row ordered by the
-    squared distance summed over axes, ties to the lower index, and padded
-    with d2 = inf.  The query radius is widened by 1e-9 so that rounding in
-    the tree cannot drop a node; callers test the exact d2 themselves.  The
-    tree's index lists go into the padded array in one pass.
-    """
-    balls = tree.query_ball_point(targets, r * (1.0 + 1e-9), return_sorted=True)
-    sizes = np.fromiter(map(len, balls), np.intp, len(balls))
-    slot = np.arange(sizes.max()) < sizes[:, None]
-    idx = np.zeros(slot.shape, dtype=np.intp)
-    idx[slot] = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(sizes.sum()))
-    d2 = np.where(slot, _d2(pts, idx, targets), np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
-
-
-_PAD = 8  # candidates fetched past the k-th nearest, to hold its distance ties
-
-
-def _nearest(
-    tree: cKDTree, pts: np.ndarray, targets: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest of ``pts`` to each target, as (T, k) indices and d2.
-
-    Row for row this is ``np.argsort(d2, kind="stable")[:k]`` of a
-    brute-force scan.  One tree query fetches the k + ``_PAD`` nearest by
-    tree distance; the cut is the k-th of them widened by 1e-9, so it holds
-    every node that ties with or undercuts the k nearest.  The candidates
-    inside the cut are ordered by exact d2, ties to the lower index.  A row
-    whose last candidate is still inside the cut (a tie group running past
-    the pad) may miss nodes, and goes through the ball search out to the
-    cut instead.
-    """
-    n = pts.shape[0]
-    k = min(k, n)
-    m = min(n, k + _PAD)
-    dist, idx = (a.reshape(len(targets), m) for a in tree.query(targets, k=m))
-    cut = dist[:, k - 1] * (1.0 + 1e-9)
-    d2 = np.where(dist <= cut[:, None], _d2(pts, idx, targets), np.inf)
-    order = np.lexsort((idx, d2))[:, :k]
-    idx, d2 = np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
-    short = np.flatnonzero((dist[:, -1] <= cut) & (m < n))
-    if short.size:
-        ball_idx, ball_d2 = _balls(tree, pts, targets[short], dist[short, k - 1])
-        idx[short], d2[short] = ball_idx[:, :k], ball_d2[:, :k]
-    return idx, d2
-
-
-def _shape_functions(
-    offsets: np.ndarray,
-    weights: np.ndarray,
-    counts: np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Shape functions of weighted least-squares polynomial fits over a batch
-    of stencils stored end to end: the one local fit of the MLS correction.
-
-    Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
-    relative to its target, divided by its length scale) and of ``weights``.
-    Returns one a_k per row such that sum_k a_k f_k over a stencil is the
-    fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
-    monomials up to ``order`` and M = P^T W P, factored by Cholesky.  A fit
-    whose smallest pivot is at most 1e-6 of its largest, or whose M is not
-    positive definite, does not resolve every term: ValueError names the
-    direction the worst-conditioned fit of its chunk cannot resolve.  Every
-    sum runs over one stencil's rows alone, so a node's shape functions are
-    the same bits whichever batch it is fitted in.
-    """
-    dim = offsets.shape[1]
-    terms = _poly_terms(dim, order)
-    terms2 = _poly_terms(dim, 2 * order)
-    # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
-    index = {e: k for k, e in enumerate(terms2)}
-    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
-    T = counts.size
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    e0 = np.zeros((T, len(terms), 1))
-    e0[:, 0] = 1.0
-    shape = np.empty(starts[-1])
-    step = max(1, 4096 // int(counts.max()))  # ~4096 design-matrix rows at a time
-    for a in range(0, T, step):
-        b = min(a + step, T)
-        rows = slice(starts[a], starts[b])
-        Q = _poly_matrix(offsets[rows], terms2)
-        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
-        mm = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])[:, pair]
-        try:
-            L = np.linalg.cholesky(mm)
-            d = np.diagonal(L, axis1=1, axis2=2)
-            weak = not (d.min(axis=1) ** 2 > 1e-12 * d.max(axis=1) ** 2).all()
-        except np.linalg.LinAlgError:  # some fit is not positive definite
-            weak = True
-        if weak:
-            evals, evecs = np.linalg.eigh(mm)
-            t = np.argmin(evals[:, 0] / evals[:, -1])
-            worst = np.argmax(np.abs(evecs[t, :, 0]))
-            raise ValueError(
-                f"rank-deficient moment matrix: neighbors do not resolve the "
-                f"{_term_name(terms[worst])} direction"
-            )
-        y = np.linalg.solve(L, e0[a:b])
-        coef = np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
-        shape[rows] = weights[rows] * np.sum(P * np.repeat(coef, counts[a:b], axis=0), axis=1)
-    return shape
 
 
 def fill_occluded(s: SnapshotSet) -> SnapshotSet:

@@ -32,6 +32,8 @@ profiled out exactly.  The search:
    theta_f^2 (1 + JITTER0) + sigma^2 is identified.  The ridge goes to the
    noise: theta_f takes its lower bound and sigma^2 keeps the total, which
    leaves the NLML unchanged and makes the posterior deviation small.
+   theta_l, which every value past the tie threshold fits alike, takes its
+   upper bound, so the fit does not depend on where the search stopped.
 
 There is no random start; the result depends only on the data.
 """
@@ -473,14 +475,14 @@ def train_many(t: np.ndarray, Y: np.ndarray) -> list[GprModel]:
     for p, (y, y_scale) in enumerate(zip(cols, y_scales)):
         rows = np.flatnonzero(out == p)
         i = rows[np.argmin(f[rows])]  # ties go to the first seed
-        log_tf, log_sig = 0.5 * g[i], 0.5 * (g[i] + log_r[i])
-        if np.exp(-0.5 * np.exp(2.0 * log_tl[i]) * d2_min) <= JITTER0:  # tie rule
+        log_tf, log_sig, log_l = 0.5 * g[i], 0.5 * (g[i] + log_r[i]), log_tl[i]
+        if np.exp(-0.5 * np.exp(2.0 * log_l) * d2_min) <= JITTER0:  # tie rule
             total = np.exp(2.0 * log_tf) * (1.0 + JITTER0) + np.exp(2.0 * log_sig)
-            log_tf = LOG_BOUNDS[0][0]
+            log_tf, log_l = LOG_BOUNDS[0][0], LOG_BOUNDS[1][1]
             rest = total - np.exp(2.0 * log_tf) * (1.0 + JITTER0)
             log_sig = float(np.clip(0.5 * np.log(rest), *LOG_BOUNDS[2]))
         models.append(GprModel(
-            Kernel(float(np.exp(log_tf)), float(np.exp(log_tl[i]))),
+            Kernel(float(np.exp(log_tf)), float(np.exp(log_l))),
             float(np.exp(2.0 * log_sig)), t, y,
             t_mean=t_mean, t_scale=t_scale, y_scale=y_scale,
         ))

@@ -500,6 +500,13 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
             f"{src / 'model.json'}: unknown schema_version {version!r}; "
             f"this mbrom reads version {SCHEMA_VERSION}"
         )
+    geometry = meta.get("boundary_geometry")
+    if "boundary_names" in meta and geometry != "radius":
+        raise ValueError(
+            f"{src / 'model.json'}: a moving-boundary model needs the 'radius' "
+            f"boundary geometry rule, and it has {geometry!r}: a forecast "
+            "could not find the exposed nodes"
+        )
     basis = _pod.load_pod_basis(src / "pod")
     mode_models = [
         load_gpr_model(src / "gpr" / f"mode_{k}.json") for k in range(basis.retained)
@@ -555,7 +562,7 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
         mls_cfg=mls_cfg,
         boundary=boundary,
         boundary_models=boundary_models,
-        boundary_geometry=meta.get("boundary_geometry"),
+        boundary_geometry=geometry,
         horizon_gpr_gamma=horizon_gamma,
         field_name=meta.get("field_name", "u"),
     )

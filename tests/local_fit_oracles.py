@@ -12,8 +12,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
 
-from mbrom.data import _balls, _nearest, _poly_matrix, _poly_terms, _term_name
-from mbrom.mls import wendland_c2
+from mbrom.mls import _balls, _poly_matrix, _poly_terms, _term_name, wendland_c2
 
 
 def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
@@ -109,9 +108,11 @@ def correct_oracle(field_values, exposed, fluid_history, grid, cfg):
 
 def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
     """The correction as one batch of coefficient fits, refitted on every call
-    (the library's form before shape functions were cached): every exposed
-    node is fitted over a padded (T, K) stencil and its value is the first
-    coefficient.  Returns (field, rows, uncorrected) as ``correct_oracle``."""
+    (the library's form before shape functions were cached): each exposed
+    node's rung comes from a full scan for its ``required_neighbors``-th
+    nearest trusted node, it is fitted over a padded (T, K) stencil, and its
+    value is the first coefficient.  Returns (field, rows, uncorrected) as
+    ``correct_oracle``."""
     field_values = np.asarray(field_values, dtype=float)
     fluid_history = np.asarray(fluid_history, dtype=bool).ravel()
     exposed = np.asarray(exposed)
@@ -133,9 +134,8 @@ def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
 
     rung = np.full(exposed.size, len(ladder))
     if hist_idx.size >= need:
-        tree = cKDTree(hist_pts)
-        _, d2 = _nearest(tree, hist_pts, xp, need)
-        rung = np.searchsorted(ladder, np.sqrt(d2[:, -1]), side="right")
+        d2 = np.array([np.sum((hist_pts - x) ** 2, axis=1) for x in xp])
+        rung = np.searchsorted(ladder, np.sqrt(np.sort(d2, axis=1)[:, need - 1]), side="right")
     fit = rung < len(ladder)
     uncorrected = exposed[~fit].tolist()
     if not fit.any():
@@ -143,7 +143,7 @@ def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
 
     xp = xp[fit]
     h = np.asarray(ladder)[rung[fit]]
-    sel, d2 = _balls(tree, hist_pts, xp, h)
+    sel, d2 = _balls(cKDTree(hist_pts), hist_pts, xp, h)
     d = np.sqrt(d2)
     w = np.where(d < h[:, None], wendland_c2(d / h[:, None]), 0.0)
     new_vals = _local_fit(

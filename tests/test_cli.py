@@ -481,9 +481,34 @@ class TestModelFile:
         assert self.forecast(model, tmp_path / "fc") == 1
         assert capsys.readouterr().err.strip() == f"error: '{name}'"
 
+    @pytest.mark.parametrize("command", ["horizon", "forecast"])
+    @pytest.mark.parametrize("geometry", [None, "deleted", "ellipse"])
+    def test_moving_model_without_geometry_rule_exits_1(
+        self, bubble_model, tmp_path, capsys, command, geometry
+    ):
+        def edit(meta):
+            if geometry == "deleted":
+                del meta["boundary_geometry"]
+            else:
+                meta["boundary_geometry"] = geometry
+
+        model = self.edited_model(bubble_model, tmp_path, edit)
+        out = tmp_path / "out"
+        args = ["--t", "64", "--force"] if command == "forecast" else []
+        assert main([command, str(model), *args, "--out", str(out)]) == 1
+        shown = None if geometry == "deleted" else geometry
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"error: {model / 'model.json'}: a moving-boundary model needs the "
+            f"'radius' boundary geometry rule, and it has {shown!r}: a forecast "
+            "could not find the exposed nodes"
+        )
+        assert not out.exists()
+
 
 def test_cli_import_leaves_out_the_tree_module():
-    # the k-d tree (scipy.spatial) loads only when a fill or correction runs
+    # the k-d tree (scipy.spatial) loads only when a correction runs
     src = str(Path(mbrom.__file__).resolve().parents[1])
     code = "import sys, mbrom.cli; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(

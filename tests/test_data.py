@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
-import mbrom.data
 from mbrom.data import (
     FMT,
     BoundaryTrack,
@@ -21,12 +19,8 @@ from mbrom.data import (
     fill_occluded,
     inner_product,
     load_snapshots,
-    _PAD,
-    _balls,
-    _nearest,
     _parse_matrix,
     _read_matrix,
-    _tree,
     save_dataset,
     write_matrix,
 )
@@ -290,113 +284,6 @@ class TestFillOccluded:
         np.testing.assert_array_equal(out.fields[:, 6:], u[:, 6:])
         np.testing.assert_array_equal(out.fields[:, :6], 0.0)
         np.testing.assert_array_equal(out.mean[:6], 0.0)
-
-
-def brute_nearest(pts, targets, k):
-    """The k nearest of ``pts`` to each target by a full scan: exact squared
-    distances, stable sort (equal distances in order of index)."""
-    d2 = np.array([np.sum((pts - x) ** 2, axis=1) for x in targets])
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(d2, order, axis=1)
-
-
-class TestNearest:
-    """``_nearest`` (one padded tree query, ball search for long tie groups)
-    against a brute-force scan."""
-
-    @staticmethod
-    def lattice(data, dim):
-        # distinct nodes of a small integer lattice, scaled so that squared
-        # distances tie exactly (scale 1) or only up to rounding (0.1, 1/3)
-        side = data.draw(st.integers(2, 7))
-        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
-        keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
-        pts = cells[np.flatnonzero(keep)] if sum(keep) else cells[:1]
-        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
-        T = data.draw(st.integers(1, 12))
-        targets = data.draw(
-            st.lists(
-                st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
-                min_size=T, max_size=T,
-            )
-        )
-        return scale * pts, scale * 0.5 * np.array(targets, dtype=float)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data(), dim=st.sampled_from([1, 2]))
-    def test_lattice_matches_brute_force(self, data, dim):
-        pts, targets = self.lattice(data, dim)
-        k = data.draw(st.integers(1, pts.shape[0] + 3))  # includes k >= n
-        want_idx, want_d2 = brute_nearest(pts, targets, k)
-        for tree in (_tree(pts), cKDTree(pts)):
-            idx, d2 = _nearest(tree, pts, targets, k)
-            np.testing.assert_array_equal(idx, want_idx)
-            assert d2.tobytes() == want_d2.tobytes()
-
-    def test_tie_group_past_the_pad_uses_ball_search(self, monkeypatch):
-        # 12 lattice nodes at distance 5 from the origin tie for the nearest
-        ring = np.array(
-            [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25],
-            dtype=float,
-        )
-        pts = np.vstack([ring[::-1], [[9.0, 9.0], [-9.0, 8.0]]])
-        targets = np.array([[0.0, 0.0], [9.0, 8.5]])
-        assert ring.shape[0] > 1 + _PAD
-        calls = []
-
-        def spy(tree, pts_, targets_, r):
-            calls.append(targets_.shape[0])
-            return balls(tree, pts_, targets_, r)
-
-        balls = mbrom.data._balls
-        monkeypatch.setattr(mbrom.data, "_balls", spy)
-        for k in (1, 4, 5, 12, 13):
-            idx, d2 = _nearest(_tree(pts), pts, targets, k)
-            want_idx, want_d2 = brute_nearest(pts, targets, k)
-            np.testing.assert_array_equal(idx, want_idx)
-            np.testing.assert_array_equal(d2, want_d2)
-        # the origin row alone, at k = 1 and 4: its k + _PAD candidates all
-        # sit on the ring; at k >= 5 the query reaches past it
-        assert calls == [1, 1]
-
-
-class TestBalls:
-    """``_balls`` (ball sizes, then one k-nearest query out to the largest
-    radius) against an integer brute force."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data(), dim=st.sampled_from([1, 2]))
-    def test_lattice_matches_brute_force(self, data, dim):
-        # nodes on an integer lattice, targets on the half lattice, and radii
-        # (half units) that often fall exactly on a distance: membership is
-        # decided in integers, with no rounding
-        side = data.draw(st.integers(2, 7))
-        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
-        keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
-        nodes = cells[np.flatnonzero(keep)] if sum(keep) else cells[:1]
-        T = data.draw(st.integers(1, 12))
-        halves = np.array(data.draw(st.lists(
-            st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
-            min_size=T, max_size=T,
-        )))
-        reach2 = np.array(data.draw(st.lists(
-            st.integers(0, 4 * (side + 2) ** 2), min_size=T, max_size=T
-        )))
-        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
-        pts, targets = scale * nodes, scale * 0.5 * halves
-        r = scale * 0.5 * np.sqrt(reach2)
-        for tree in (_tree(pts), cKDTree(pts)):
-            idx, d2 = _balls(tree, pts, targets, r)
-            for row in range(T):
-                inside = np.flatnonzero(
-                    np.sum((2 * nodes - halves[row]) ** 2, axis=1) <= reach2[row]
-                )
-                exact = np.sum((pts[inside] - targets[row]) ** 2, axis=1)
-                order = np.lexsort((inside, exact))
-                n = inside.size
-                np.testing.assert_array_equal(idx[row, :n], inside[order])
-                assert d2[row, :n].tobytes() == exact[order].tobytes()
-                assert np.all(d2[row, n:] == np.inf)
 
 
 class TestWriteMatrix:

@@ -1,15 +1,18 @@
 """The batched, k-d-tree-indexed MLS correction against its per-node
 definition (``local_fit_oracles``), plus polynomial reproduction on random
-2D scatter, and the cached shape functions of the correction."""
+2D scatter, the cached shape functions of the correction, and the stencil
+search (``_kth_d2``, ``_balls``) against a brute-force scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import mbrom.mls
 from local_fit_oracles import batched_correct_oracle, correct_oracle
 from mbrom.data import SpatialGrid
-from mbrom.mls import MlsConfig, StencilCache, correct_field
+from mbrom.mls import _PAD, MlsConfig, StencilCache, _balls, _kth_d2, _tree, correct_field
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -102,6 +105,21 @@ class TestCorrectionOracle:
         report = self.compare(np.ones(30), np.array([0]), np.arange(30) > 0, g, cfg)
         assert report.rows[0][1] == 4.5
 
+    def test_rung_equal_to_distance_is_skipped_2d(self):
+        # the 4th-nearest trusted node lies on the 12-node ring r = 5, exactly
+        # on the rung h = 5; the ring is a tie group longer than the search's
+        # pad, so the 4 + _PAD candidates of its tree query all sit on it
+        side = np.arange(-8.0, 9.0)
+        pts = np.array(np.meshgrid(side, side)).reshape(2, -1).T
+        g = SpatialGrid(dim=2, coords=pts, quad_weights=np.ones(pts.shape[0]))
+        r2 = np.sum(pts**2, axis=1)
+        origin = np.flatnonzero(r2 == 0)
+        assert np.sum(r2 == 25) == 12 >= 4 + _PAD
+        field = np.random.default_rng(3).standard_normal(pts.shape[0])
+        cfg = MlsConfig(order=0, kernel_len=5.0, min_neighbor_factor=4.0)
+        report = self.compare(field, origin, r2 >= 25, g, cfg)
+        assert report.rows[0][1] == 7.5
+
 
 class TestShapeFunctions:
     @PROPERTY
@@ -183,3 +201,105 @@ class TestStencilCache:
             outs.append(correct_field(field, exposed, hist, grid, cfg, cache))
             self.assert_same(outs[-1], correct_field(field, exposed, hist, grid, cfg))
         assert not np.array_equal(outs[0][0], outs[1][0])
+
+
+def brute_kth_d2(pts, targets, k):
+    """Each target's k-th smallest exact squared distance to ``pts`` (the
+    n-th when k > n) by a full scan."""
+    d2 = np.array([np.sum((pts - x) ** 2, axis=1) for x in targets])
+    return np.sort(d2, axis=1)[:, min(k, pts.shape[0]) - 1]
+
+
+class TestNearest:
+    """``_kth_d2`` (one padded tree query, ball search for long tie groups)
+    against a brute-force scan."""
+
+    @staticmethod
+    def lattice(data, dim):
+        # distinct nodes of a small integer lattice, scaled so that squared
+        # distances tie exactly (scale 1) or only up to rounding (0.1, 1/3)
+        side = data.draw(st.integers(2, 7))
+        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        pts = cells[np.flatnonzero(keep)] if sum(keep) else cells[:1]
+        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        T = data.draw(st.integers(1, 12))
+        targets = data.draw(
+            st.lists(
+                st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
+                min_size=T, max_size=T,
+            )
+        )
+        return scale * pts, scale * 0.5 * np.array(targets, dtype=float)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]))
+    def test_lattice_matches_brute_force(self, data, dim):
+        pts, targets = self.lattice(data, dim)
+        k = data.draw(st.integers(1, pts.shape[0] + 3))  # includes k >= n
+        want = brute_kth_d2(pts, targets, k)
+        for tree in (_tree(pts), cKDTree(pts)):
+            assert _kth_d2(tree, pts, targets, k).tobytes() == want.tobytes()
+
+    def test_tie_group_past_the_pad_uses_ball_search(self, monkeypatch):
+        # 12 lattice nodes at distance 5 from the origin tie for the nearest
+        ring = np.array(
+            [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25],
+            dtype=float,
+        )
+        pts = np.vstack([ring[::-1], [[9.0, 9.0], [-9.0, 8.0]]])
+        targets = np.array([[0.0, 0.0], [9.0, 8.5]])
+        assert ring.shape[0] > 1 + _PAD
+        calls = []
+
+        def spy(tree, pts_, targets_, r):
+            calls.append(targets_.shape[0])
+            return balls(tree, pts_, targets_, r)
+
+        balls = mbrom.mls._balls
+        monkeypatch.setattr(mbrom.mls, "_balls", spy)
+        for k in (1, 4, 5, 12, 13):
+            got = _kth_d2(_tree(pts), pts, targets, k)
+            assert got.tobytes() == brute_kth_d2(pts, targets, k).tobytes()
+        # the origin row alone, at k = 1 and 4: its k + _PAD candidates all
+        # sit on the ring; at k >= 5 the query reaches past it
+        assert calls == [1, 1]
+
+
+class TestBalls:
+    """``_balls`` (ball sizes, then one k-nearest query out to the largest
+    radius) against an integer brute force."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]))
+    def test_lattice_matches_brute_force(self, data, dim):
+        # nodes on an integer lattice, targets on the half lattice, and radii
+        # (half units) that often fall exactly on a distance: membership is
+        # decided in integers, with no rounding
+        side = data.draw(st.integers(2, 7))
+        cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        nodes = cells[np.flatnonzero(keep)] if sum(keep) else cells[:1]
+        T = data.draw(st.integers(1, 12))
+        halves = np.array(data.draw(st.lists(
+            st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
+            min_size=T, max_size=T,
+        )))
+        reach2 = np.array(data.draw(st.lists(
+            st.integers(0, 4 * (side + 2) ** 2), min_size=T, max_size=T
+        )))
+        scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        pts, targets = scale * nodes, scale * 0.5 * halves
+        r = scale * 0.5 * np.sqrt(reach2)
+        for tree in (_tree(pts), cKDTree(pts)):
+            idx, d2 = _balls(tree, pts, targets, r)
+            for row in range(T):
+                inside = np.flatnonzero(
+                    np.sum((2 * nodes - halves[row]) ** 2, axis=1) <= reach2[row]
+                )
+                exact = np.sum((pts[inside] - targets[row]) ** 2, axis=1)
+                order = np.lexsort((inside, exact))
+                n = inside.size
+                np.testing.assert_array_equal(idx[row, :n], inside[order])
+                assert d2[row, :n].tobytes() == exact[order].tobytes()
+                assert np.all(d2[row, n:] == np.inf)
