@@ -117,15 +117,16 @@ def _fluid_error(pred, truth, fluid, grid) -> float:
     return relative_error(np.where(fluid, pred, 0.0), np.where(fluid, truth, 0.0), grid)
 
 
-def _horizons(model) -> dict:
-    """The three horizons, their minimum t* and the binding criterion."""
+def _t_stars(model) -> dict:
+    """The three horizons' t* (the boundary one None without boundary GPs)
+    and their minimum."""
     stars = {f"t_star_{name}": t for name, t in model.t_stars().items()}
-    return {
-        "t_star_gpr_gamma": None,
-        **stars,
-        "t_star": model.t_star,
-        "binding": model.binding_component(),
-    }
+    return {"t_star_gpr_gamma": None, **stars, "t_star": model.t_star}
+
+
+def _horizons(model) -> dict:
+    """``_t_stars`` and the binding criterion."""
+    return {**_t_stars(model), "binding": model.binding_component()}
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +186,7 @@ def cmd_forecast(args) -> int:
     write_matrix(out / "field.csv", np.column_stack([model.grid.coords, fc.field]))
     summary = {
         "t_query": fc.t_query,
-        "t_star_pod": fc.t_star_pod,
-        "t_star_gpr_a": fc.t_star_gpr_a,
-        "t_star_gpr_gamma": fc.t_star_gpr_gamma,
-        "t_star": fc.t_star,
+        **_t_stars(model),
         "sigma_weighted": fc.sigma_weighted,
         "eps_pod_tail": fc.eps_pod_tail,
         "eps_mls": fc.eps_mls,
@@ -321,7 +319,7 @@ def _bench_bubble(out: Path) -> None:
     err_a = float(np.abs(fc.field - truth)[exp].max()) if exp.size else 0.0
     summary = {
         "t_query": t_query,
-        "t_star": fc.t_star,
+        "t_star": model.t_star,
         "forced": fc.forced,
         "corrected_node_count": int(exp.size),
         "max_err_exposed_before": err_b,

@@ -11,18 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    SnapshotSet,
-    _read_json,
-    _read_matrix,
-    inner_product,
-    write_json,
-    write_matrix,
-)
+from .data import SnapshotSet, inner_product
 
 __all__ = [
     "PodBasis",
@@ -36,8 +28,6 @@ __all__ = [
     "reconstruction_error",
     "ric",
     "pod_horizon",
-    "save_pod_basis",
-    "load_pod_basis",
 ]
 
 @dataclass(frozen=True)
@@ -67,7 +57,12 @@ class PodBasis:
     modes: np.ndarray
     retained: int
     coeffs: np.ndarray
-    rrms_tail: float
+
+    @property
+    def rrms_tail(self) -> float:
+        """Relative root-mean-square error of the discarded modes."""
+        lam = self.eigenvalues
+        return float(np.sqrt(lam[self.retained :].sum() / lam.sum()))
 
     @property
     def ric(self) -> np.ndarray:
@@ -103,9 +98,7 @@ def decompose(s: SnapshotSet) -> PodBasis:
     modes[k] = Vt[k] / sqw
     coeffs = np.zeros((M, M))
     coeffs[:, k] = U[:, k] * sing[k]
-    return PodBasis(
-        eigenvalues=lam, modes=modes, retained=M, coeffs=coeffs, rrms_tail=0.0
-    )
+    return PodBasis(eigenvalues=lam, modes=modes, retained=M, coeffs=coeffs)
 
 
 def truncate(b: PodBasis, alpha_pod: float) -> PodBasis:
@@ -122,17 +115,10 @@ def truncate(b: PodBasis, alpha_pod: float) -> PodBasis:
 
 
 def truncate_to(b: PodBasis, r: int) -> PodBasis:
-    """Keep the first ``r`` modes; the tail error is recomputed for ``r``."""
+    """Keep the first ``r`` modes."""
     if not (1 <= r <= b.retained):
         raise ValueError(f"cannot keep {r} of {b.retained} modes")
-    lam = b.eigenvalues
-    return replace(
-        b,
-        modes=b.modes[:r],
-        coeffs=b.coeffs[:, :r],
-        retained=r,
-        rrms_tail=float(np.sqrt(lam[r:].sum() / lam.sum())),
-    )
+    return replace(b, modes=b.modes[:r], coeffs=b.coeffs[:, :r], retained=r)
 
 
 def project(s: SnapshotSet, b: PodBasis) -> np.ndarray:
@@ -178,7 +164,10 @@ class PodHorizon:
     """Furthest forecast time allowed by the eigenvalue decay rate."""
 
     t_star: float
-    unbounded: bool = False
+
+    @property
+    def unbounded(self) -> bool:
+        return bool(np.isinf(self.t_star))
 
 
 def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> PodHorizon:
@@ -198,27 +187,7 @@ def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> PodHorizo
             "lambda_{R+2} at round-off); POD poses no forecast bound",
             stacklevel=2,
         )
-        return PodHorizon(t_star=np.inf, unbounded=True)
+        return PodHorizon(t_star=np.inf)
     decay = (np.log(lam[1]) - np.log(lam[R + 1])) / R
     return PodHorizon(t_star=float(tM + (tM - t1) * beta_pod * decay))
 
-
-def save_pod_basis(b: PodBasis, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "eigenvalues.csv", b.eigenvalues)
-    write_matrix(out / "modes.csv", b.modes[: b.retained])
-    write_matrix(out / "coeffs.csv", b.coeffs[:, : b.retained])
-    write_json(out / "pod.json", {"retained": b.retained, "rrms_tail": b.rrms_tail})
-
-
-def load_pod_basis(in_dir: str | Path) -> PodBasis:
-    src = Path(in_dir)
-    meta = _read_json(src / "pod.json")
-    return PodBasis(
-        eigenvalues=_read_matrix(src / "eigenvalues.csv").ravel(),
-        modes=_read_matrix(src / "modes.csv"),
-        retained=int(meta["retained"]),
-        coeffs=_read_matrix(src / "coeffs.csv"),
-        rrms_tail=float(meta["rrms_tail"]),
-    )

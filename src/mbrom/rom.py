@@ -63,7 +63,10 @@ __all__ = [
 ]
 
 
-SCHEMA_VERSION = 1  # layout of the directory save_rom_model writes
+# layout of the directory save_rom_model writes; version 1 also held
+# pod/coeffs.csv, pod/pod.json, boundary_track.json and the model.json keys
+# t_star and pod_unbounded, copies of values the loader now derives
+SCHEMA_VERSION = 2
 
 
 class HorizonExceededError(RuntimeError):
@@ -153,13 +156,9 @@ class RomModel:
 class RomForecast:
     t_query: float
     field: np.ndarray
-    t_star_pod: float
-    t_star_gpr_a: float
-    t_star: float
     sigma_weighted: float
     eps_pod_tail: float
     eps_mls: float
-    t_star_gpr_gamma: float | None = None
     corrected_nodes: np.ndarray | None = None
     boundary_values: dict[str, float] | None = None
     forced: bool = False
@@ -189,6 +188,11 @@ def build(
     deterministic.  It stays because the benchmark
     (``perfbench/workloads.py``) passes ``seed=0``.
     """
+    if not (boundary_geometry in (None, "radius") or callable(boundary_geometry)):
+        raise ValueError(
+            f"unknown boundary geometry {boundary_geometry!r}: give 'radius' "
+            "or a callable"
+        )
     moving = not s.all_fluid()
     t1, tM = float(s.times[0]), float(s.times[-1])
     scan_step = (tM - t1) / s.n_snapshots
@@ -328,12 +332,6 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
     return RomForecast(
         t_query=t_query,
         field=field_values,
-        t_star_pod=m.horizon_pod.t_star,
-        t_star_gpr_a=m.horizon_gpr_a.t_star,
-        t_star_gpr_gamma=(
-            m.horizon_gpr_gamma.t_star if m.horizon_gpr_gamma is not None else None
-        ),
-        t_star=m.t_star,
         sigma_weighted=sigma_w,
         eps_pod_tail=eps_pod,
         eps_mls=eps_mls,
@@ -442,7 +440,9 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _pod.save_pod_basis(m.basis, out / "pod")
+    (out / "pod").mkdir(exist_ok=True)
+    write_matrix(out / "pod" / "eigenvalues.csv", m.basis.eigenvalues)
+    write_matrix(out / "pod" / "modes.csv", m.basis.modes[: m.basis.retained])
     gdir = out / "gpr"  # perfbench/selftest.py edits train_y in gpr/mode_0.json
     gdir.mkdir(exist_ok=True)
     for k, mm in enumerate(m.mode_models):
@@ -459,12 +459,10 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         **asdict(m.thresholds),
         **asdict(m.tolerances),
         "t_star_pod": m.horizon_pod.t_star,
-        "pod_unbounded": m.horizon_pod.unbounded,
         "t_star_gpr_a": m.horizon_gpr_a.t_star,
         "gpr_a_at_data_end": m.horizon_gpr_a.at_data_end,
         "gpr_a_capped": m.horizon_gpr_a.capped,
         "sigma_at_t_star": m.horizon_gpr_a.sigma_weighted,
-        "t_star": m.t_star,
         "boundary_geometry": (
             m.boundary_geometry if isinstance(m.boundary_geometry, str) else None
         ),
@@ -481,8 +479,6 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         meta["t_star_gpr_gamma_per_param"] = list(m.horizon_gpr_gamma.per_param)
         meta["gpr_gamma_at_data_end"] = m.horizon_gpr_gamma.at_data_end
         meta["gpr_gamma_capped"] = m.horizon_gpr_gamma.capped
-        track = {"names": m.boundary.names, "values": m.boundary.values.tolist()}
-        write_json(out / "boundary_track.json", track, indent=None)
     write_json(out / "model.json", meta)
 
 
@@ -492,13 +488,16 @@ def _from_fields(cls, meta: dict):
 
 
 def load_rom_model(in_dir: str | Path) -> RomModel:
+    """Read a directory that ``save_rom_model`` wrote.  A version-1 directory
+    also holds copies of stored values, which are not read: the mode
+    coefficients and the boundary track are the GPs' training outputs."""
     src = Path(in_dir)
     meta = _read_json(src / "model.json")
     version = meta.get("schema_version", 1)  # files from before versioning
-    if version != SCHEMA_VERSION:
+    if version not in (1, SCHEMA_VERSION):
         raise ValueError(
             f"{src / 'model.json'}: unknown schema_version {version!r}; "
-            f"this mbrom reads version {SCHEMA_VERSION}"
+            f"this mbrom reads versions 1 and {SCHEMA_VERSION}"
         )
     geometry = meta.get("boundary_geometry")
     if "boundary_names" in meta and geometry != "radius":
@@ -507,23 +506,35 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
             f"boundary geometry rule, and it has {geometry!r}: a forecast "
             "could not find the exposed nodes"
         )
-    basis = _pod.load_pod_basis(src / "pod")
-    mode_models = [
-        load_gpr_model(src / "gpr" / f"mode_{k}.json") for k in range(basis.retained)
-    ]
+    names = meta.get("boundary_names")
+    modes = _read_matrix(src / "pod" / "modes.csv")
+    eigenvalues = _read_matrix(src / "pod" / "eigenvalues.csv").ravel()
     grid = _read_grid(src / "grid.csv")
     mean = _read_matrix(src / "mean.csv").ravel()
     window_all_fluid = _read_matrix(src / "window_all_fluid.csv").ravel() > 0.5
+    R = modes.shape[0]
+    gp_files = [f"gpr/mode_{k}.json" for k in range(R)]
+    gp_files += [f"boundary/param_{j}.json" for j in range(len(names or ()))]
+    gps = [load_gpr_model(src / f) for f in gp_files]
+    # pairs of (file, size, unit) whose sizes must agree
+    nodes = ("grid.csv", grid.n_nodes, "nodes")
+    spectrum = ("pod/eigenvalues.csv", eigenvalues.size, "entries")
+    pairs = [
+        (("mean.csv", mean.size, "entries"), nodes),
+        (("window_all_fluid.csv", window_all_fluid.size, "entries"), nodes),
+        (("pod/modes.csv", modes.shape[1], "columns"), nodes),
+    ]
+    for f, gp in zip(gp_files, gps):
+        pairs.append((spectrum, (f, gp.train_t.size, "training times")))
+    for (fa, na, ua), (fb, nb, ub) in pairs:
+        if na != nb:
+            raise ValueError(f"{src}: {fa} holds {na} {ua} and {fb} {nb} {ub}")
+    # the mode coefficients, then the boundary track
+    outputs = np.column_stack([gp.train_y for gp in gps])
     boundary = None
-    boundary_models = None
     horizon_gamma = None
-    if "boundary_names" in meta:
-        bt = _read_json(src / "boundary_track.json")
-        boundary = BoundaryTrack(names=bt["names"], values=np.asarray(bt["values"]))
-        boundary_models = [
-            load_gpr_model(src / "boundary" / f"param_{j}.json")
-            for j in range(len(bt["names"]))
-        ]
+    if names is not None:
+        boundary = BoundaryTrack(names, outputs[:, R:])
         horizon_gamma = BoundaryHorizon(
             t_star=meta["t_star_gpr_gamma"],
             per_param=tuple(meta["t_star_gpr_gamma_per_param"]),
@@ -542,17 +553,15 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     return RomModel(
         grid=grid,
         mean=mean,
-        basis=basis,
-        mode_models=mode_models,
+        basis=PodBasis(eigenvalues, modes, R, outputs[:, :R]),
+        mode_models=gps[:R],
         thresholds=_from_fields(PodThresholds, meta),
         tolerances=_from_fields(GprTolerances, meta),
         t1=meta["t1"],
         tM=meta["tM"],
         scan_step=meta["scan_step"],
         window_all_fluid=window_all_fluid,
-        horizon_pod=PodHorizon(
-            t_star=meta["t_star_pod"], unbounded=meta["pod_unbounded"]
-        ),
+        horizon_pod=PodHorizon(t_star=meta["t_star_pod"]),
         horizon_gpr_a=GprHorizon(
             t_star=meta["t_star_gpr_a"],
             sigma_weighted=meta["sigma_at_t_star"],
@@ -561,7 +570,7 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
         ),
         mls_cfg=mls_cfg,
         boundary=boundary,
-        boundary_models=boundary_models,
+        boundary_models=gps[R:] if names is not None else None,
         boundary_geometry=geometry,
         horizon_gpr_gamma=horizon_gamma,
         field_name=meta.get("field_name", "u"),

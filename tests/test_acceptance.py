@@ -259,7 +259,7 @@ def test_criterion_5_error_growth(burgers_sets):
 def test_criterion_6_horizon_criteria(burgers_sets, bubble_run):
     # closed-form arithmetic of the eigenvalue-decay bound
     lam = np.array([100.0, 10.0, 1.0, 0.1, 0.01])
-    basis = PodBasis(lam, np.zeros((5, 4)), 2, np.zeros((5, 5)), 0.0)
+    basis = PodBasis(lam, np.zeros((5, 4)), 2, np.zeros((5, 5)))
     t_pod = pod_horizon(basis, 0.3, 0.5, 0.3).t_star
     closed_form = 0.5 + (0.5 - 0.3) * 0.3 * (np.log(lam[1]) - np.log(lam[3])) / 2.0
     arith_gap = abs(t_pod - closed_form)

@@ -481,6 +481,37 @@ class TestModelFile:
         assert self.forecast(model, tmp_path / "fc") == 1
         assert capsys.readouterr().err.strip() == f"error: '{name}'"
 
+    @pytest.mark.parametrize("name", [
+        "mean.csv", "window_all_fluid.csv", "pod/modes.csv", "pod/eigenvalues.csv",
+        "gpr/mode_1.json",
+    ])
+    def test_file_of_the_wrong_size_exits_1(self, bubble_model, tmp_path, capsys, name):
+        model = tmp_path / "model"
+        shutil.copytree(bubble_model, model)
+        path = model / name
+        lines = path.read_text().splitlines(keepends=True)
+        if name == "pod/modes.csv":  # the last column dropped
+            lines = [line.rsplit(",", 1)[0] + "\n" for line in lines]
+            expected = "pod/modes.csv holds 269 columns and grid.csv 270 nodes"
+        elif name == "pod/eigenvalues.csv":
+            lines = lines[:1]
+            expected = "pod/eigenvalues.csv holds 1 entries and gpr/mode_0.json 10 training times"
+        elif name == "gpr/mode_1.json":  # the last training point dropped
+            gp = json.loads(path.read_text())
+            gp["train_t"], gp["train_y"] = gp["train_t"][:-1], gp["train_y"][:-1]
+            lines = [json.dumps(gp)]
+            expected = "pod/eigenvalues.csv holds 10 entries and gpr/mode_1.json 9 training times"
+        else:
+            lines = lines[:-1]
+            expected = f"{name} holds 269 entries and grid.csv 270 nodes"
+        path.write_text("".join(lines))
+        for command, args in (("horizon", []), ("forecast", ["--t", "64", "--force"])):
+            out = tmp_path / command
+            assert main([command, str(model), *args, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.strip() == f"error: {model}: {expected}"
+
     @pytest.mark.parametrize("command", ["horizon", "forecast"])
     @pytest.mark.parametrize("geometry", [None, "deleted", "ellipse"])
     def test_moving_model_without_geometry_rule_exits_1(

@@ -18,7 +18,6 @@ def single_mode_basis(phi, n_snapshots=4):
         modes=phi,
         retained=1,
         coeffs=np.zeros((m, 1)),
-        rrms_tail=0.0,
     )
 
 

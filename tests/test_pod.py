@@ -11,13 +11,11 @@ from mbrom.pod import (
     PodBasis,
     PodThresholds,
     decompose,
-    load_pod_basis,
     pod_horizon,
     project,
     reconstruct,
     reconstruction_error,
     ric,
-    save_pod_basis,
     truncate,
     truncate_to,
 )
@@ -161,7 +159,6 @@ class TestTruncate:
             modes=np.zeros((m, 4)),
             retained=m,
             coeffs=np.zeros((m, m)),
-            rrms_tail=0.0,
         )
 
     def test_nine_one(self):
@@ -246,11 +243,11 @@ class TestProjectReconstruct:
 
 class TestRic:
     def test_three_one(self):
-        b = PodBasis(np.array([3.0, 1.0]), np.zeros((2, 4)), 2, np.zeros((2, 2)), 0.0)
+        b = PodBasis(np.array([3.0, 1.0]), np.zeros((2, 4)), 2, np.zeros((2, 2)))
         np.testing.assert_allclose(ric(b), [75.0, 25.0])
 
     def test_single_mode(self):
-        b = PodBasis(np.array([2.0]), np.zeros((1, 4)), 1, np.zeros((1, 1)), 0.0)
+        b = PodBasis(np.array([2.0]), np.zeros((1, 4)), 1, np.zeros((1, 1)))
         np.testing.assert_allclose(ric(b), [100.0])
 
     def test_sums_to_100(self):
@@ -259,7 +256,7 @@ class TestRic:
         assert ric(b).sum() == pytest.approx(100.0, abs=1e-8)
 
     def test_all_zero_spectrum_rejected(self):
-        b = PodBasis(np.zeros(3), np.zeros((3, 4)), 3, np.zeros((3, 3)), 0.0)
+        b = PodBasis(np.zeros(3), np.zeros((3, 4)), 3, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="degenerate"):
             ric(b)
 
@@ -277,7 +274,7 @@ class TestPodHorizon:
     def basis_with(self, lambdas, retained):
         lam = np.asarray(lambdas, float)
         return PodBasis(lam, np.zeros((lam.size, 4)), retained,
-                        np.zeros((lam.size, lam.size)), 0.0)
+                        np.zeros((lam.size, lam.size)))
 
     def test_reference_arithmetic(self):
         b = self.basis_with([100.0, 10.0, 1.0, 0.1, 0.01], retained=2)
@@ -312,23 +309,6 @@ class TestPodHorizon:
         b = self.basis_with([10.0, 1.0, 0.1, 1e-16], retained=2)
         with pytest.warns(UserWarning):
             assert pod_horizon(b, 0.0, 1.0, 0.3).unbounded
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        s = random_set(8, m=6)
-        retained = []
-        for alpha in (0.05, 0.999):  # R = 1 writes single-column files
-            b = truncate(decompose(s), alpha)
-            save_pod_basis(b, tmp_path / str(alpha))
-            b2 = load_pod_basis(tmp_path / str(alpha))
-            assert b2.retained == b.retained
-            np.testing.assert_array_equal(b2.eigenvalues, b.eigenvalues)
-            np.testing.assert_array_equal(b2.modes, b.modes[: b.retained])
-            np.testing.assert_array_equal(b2.coeffs, b.coeffs[:, : b.retained])
-            assert b2.rrms_tail == b.rrms_tail
-            retained.append(b.retained)
-        assert retained[0] > 1 and retained[1] == 1
 
 
 class TestThresholds:

@@ -106,6 +106,18 @@ class TestBuild:
         with pytest.raises(ValueError, match="2 boundary parameters and no boundary geometry rule"):
             build(two)
 
+    @pytest.mark.parametrize("geometry", ["ellipse", "Radius", 1.0])
+    def test_unknown_geometry_refused_before_the_svd(
+        self, burgers_model, bubble_model, monkeypatch, geometry
+    ):
+        def svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for _, s, _ in (burgers_model, bubble_model):
+            with pytest.raises(ValueError, match="unknown boundary geometry"):
+                build(s, boundary_geometry=geometry)
+
     def test_empty_always_fluid_set_refused(self):
         # each node is covered in one snapshot or the other
         g = SpatialGrid.uniform_1d(0.0, 1.0, 10)
@@ -495,7 +507,7 @@ class TestSerialization:
         fc1 = forecast(m, 0.58)
         fc2 = forecast(m2, 0.58)
         np.testing.assert_array_equal(fc1.field, fc2.field)
-        assert fc1.t_star == fc2.t_star
+        assert m2.t_star == m.t_star
 
     def test_moving_boundary_round_trip(self, tmp_path, bubble_model):
         _, _, m = bubble_model
@@ -521,7 +533,7 @@ class TestSerialization:
         save_rom_model(m, tmp_path / "a")
         assert json.loads((tmp_path / "a" / "model.json").read_text())[
             "schema_version"
-        ] == 1
+        ] == 2
         save_rom_model(load_rom_model(tmp_path / "a"), tmp_path / "b")
         files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
         assert files == sorted(
@@ -531,12 +543,13 @@ class TestSerialization:
             if (tmp_path / "a" / f).is_file():
                 assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
 
-    @pytest.mark.parametrize("name", ["burgers", "cavity", "disk"])
+    @pytest.mark.parametrize("name", ["burgers", "burgers_r1", "cavity", "disk"])
     def test_save_load_save_writes_the_same_bytes(self, tmp_path, name):
         # a model and the dataset it was built from each reload to files
         # byte-identical to the ones they were read from
-        if name == "burgers":
-            s = burgers_snapshots(BurgersConfig(reynolds=100.0, nx=201), 0.3, 0.5, 20)
+        if name.startswith("burgers"):
+            re = 1.0 if name == "burgers_r1" else 100.0
+            s = burgers_snapshots(BurgersConfig(reynolds=re, nx=201), 0.3, 0.5, 20)
         elif name == "cavity":
             s, _ = bubble_snapshots(BubbleConfig(), 51.0, 60.0, 10)
         else:
@@ -548,7 +561,15 @@ class TestSerialization:
         save_dataset(s, tmp_path / "data" / "a")
         save_dataset(load_snapshots(tmp_path / "data" / "a"), tmp_path / "data" / "b")
         save_rom_model(m, tmp_path / "model" / "a")
-        save_rom_model(load_rom_model(tmp_path / "model" / "a"), tmp_path / "model" / "b")
+        loaded = load_rom_model(tmp_path / "model" / "a")
+        save_rom_model(loaded, tmp_path / "model" / "b")
+        assert (loaded.basis.retained == 1) == (name == "burgers_r1")
+        assert loaded.basis.retained == m.basis.retained
+        assert loaded.basis.rrms_tail == m.basis.rrms_tail
+        for attr in ("coeffs", "eigenvalues", "modes"):
+            np.testing.assert_array_equal(
+                getattr(loaded.basis, attr), getattr(m.basis, attr), strict=True
+            )
 
         def tree(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -557,7 +578,49 @@ class TestSerialization:
             a, b = tree(tmp_path / kind / "a"), tree(tmp_path / kind / "b")
             assert sorted(a) == sorted(b)
             assert [f for f in a if a[f] != b[f]] == []
-        assert ("boundary.csv" in map(str, tree(tmp_path / "data" / "a"))) == (name != "burgers")
+        assert ("boundary.csv" in map(str, tree(tmp_path / "data" / "a"))) == (
+            not name.startswith("burgers")
+        )
+
+    @pytest.mark.parametrize("name", ["cavity", "burgers"])
+    def test_version_1_directory_loads_and_resaves_as_version_2(self, tmp_path, name):
+        # `mbrom build` of `mbrom gen bubble --nr 60` and of `mbrom gen
+        # burgers --nx 51`, saved in schema version 1 with its copy files
+        v1 = Path(__file__).parent / "data" / "model_v1" / name
+        assert json.loads((v1 / "model.json").read_text())["schema_version"] == 1
+        assert (v1 / "pod" / "coeffs.csv").is_file() and (v1 / "pod" / "pod.json").is_file()
+        if name == "cavity":
+            s, _ = bubble_snapshots(BubbleConfig(nr=60), 51.0, 60.0, 10)
+            times = (55.5, 60.0, 64.0)
+        else:
+            s = burgers_snapshots(BurgersConfig(nx=51), 0.3, 0.5, 20)
+            times = (0.45, 0.55, 0.6)
+        old, new = load_rom_model(v1), build(s)
+        assert old.t_stars() == new.t_stars()
+        for t in times:
+            a, b = forecast(old, t, force=True), forecast(new, t, force=True)
+            np.testing.assert_array_equal(a.field, b.field)
+            np.testing.assert_array_equal(a.corrected_nodes, b.corrected_nodes)
+            assert (a.sigma_weighted, a.eps_pod_tail, a.eps_mls, a.boundary_values) == (
+                b.sigma_weighted, b.eps_pod_tail, b.eps_mls, b.boundary_values
+            )
+        save_rom_model(old, tmp_path / "old")
+        save_rom_model(new, tmp_path / "new")
+
+        def tree(root):
+            return {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()
+            }
+
+        assert tree(tmp_path / "old") == tree(tmp_path / "new")
+        R = new.basis.retained
+        v2 = {"model.json", "grid.csv", "mean.csv", "window_all_fluid.csv",
+              "pod/eigenvalues.csv", "pod/modes.csv"}
+        v2 |= {f"gpr/mode_{k}.json" for k in range(R)}
+        if name == "cavity":
+            v2.add("boundary/param_0.json")
+        assert sorted(tree(tmp_path / "new")) == sorted(v2)
 
     def test_callable_geometry_refused(self, tmp_path):
         s, _ = bubble_snapshots(BubbleConfig(nr=120), 51.0, 60.0, 10)
@@ -580,11 +643,11 @@ class TestSerialization:
         save_rom_model(m, tmp_path / "model")
         path = tmp_path / "model" / "model.json"
         meta = json.loads(path.read_text())
-        meta["schema_version"] = 2
+        meta["schema_version"] = 3
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError) as exc:
             load_rom_model(tmp_path / "model")
-        assert str(path) in str(exc.value) and "schema_version 2" in str(exc.value)
+        assert str(path) in str(exc.value) and "schema_version 3" in str(exc.value)
 
     def test_unknown_weight_rejected(self, tmp_path, bubble_model):
         _, _, m = bubble_model
