@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .data import (
 )
 from .galerkin import assemble_operators, integrate
 from .gpr import GprStack, GprTolerances, train_many
-from .mls import MlsConfig
+from .mls import CorrectionReport, MlsConfig
 from .pod import PodThresholds
 from .rom import (
     HorizonExceededError,
@@ -86,8 +87,10 @@ def _window(args, config: dict, default: tuple) -> tuple:
 
 
 def _load_config(args) -> dict:
-    """The ``--config`` file's object; a key that is not one of the
-    subcommand's options is an error."""
+    """The ``--config`` file's object.  A key that is not one of the
+    subcommand's options is an error, and so is a value that is not a finite
+    number (null leaves the option unset) or, for an integer option, not
+    integral."""
     path = getattr(args, "config", None)
     if not path:
         return {}
@@ -100,6 +103,13 @@ def _load_config(args) -> dict:
             f"{path}: unknown config key {unknown[0]!r}; "
             f"{args.command} reads {', '.join(sorted(args.config_keys))}"
         )
+    for key, value in cfg.items():
+        if value is None or type(value) is int:  # a bool is not an int here
+            continue
+        if type(value) is not float or not math.isfinite(value):
+            raise ValueError(f"{path}: config key {key!r} must be a finite number, not {value!r}")
+        if key in _INTS and not value.is_integer():
+            raise ValueError(f"{path}: config key {key!r} must be an integer, not {value!r}")
     return cfg
 
 
@@ -178,24 +188,17 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _write_correction_report(path: Path, report: CorrectionReport) -> None:
+    """One line per corrected node: node, h, before, after and its Lebesgue
+    constant.  A node index prints as an integer under ``FMT``."""
+    mat = np.column_stack([np.reshape(report.rows, (-1, 4)), report.lebesgue])
+    write_matrix(path, mat, header="node,h,before,after,lebesgue")
+
+
 def cmd_forecast(args) -> int:
     model = load_rom_model(args.model)
     fc = forecast(model, args.t, force=args.force)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "field.csv", np.column_stack([model.grid.coords, fc.field]))
-    summary = {
-        "t_query": fc.t_query,
-        **_t_stars(model),
-        "sigma_weighted": fc.sigma_weighted,
-        "eps_pod_tail": fc.eps_pod_tail,
-        "eps_mls": fc.eps_mls,
-        "forced": fc.forced,
-        "corrected_node_count": (
-            int(fc.corrected_nodes.size) if fc.corrected_nodes is not None else 0
-        ),
-        "boundary_values": fc.boundary_values,
-    }
+    truth = None  # checked before any file is written
     if args.truth:
         truth_snaps = load_snapshots(args.truth)
         coords = truth_snaps.grid.coords
@@ -215,11 +218,26 @@ def cmd_forecast(args) -> int:
             raise ValueError(
                 f"truth dataset has no snapshot at t={fc.t_query:.6g}"
             )
-        summary["relative_error"] = _fluid_error(
-            fc.field, truth_snaps.fields[idx], fc.fluid_mask, model.grid
-        )
+        truth = truth_snaps.fields[idx]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out / "field.csv", np.column_stack([model.grid.coords, fc.field]))
+    summary = {
+        "t_query": fc.t_query,
+        **_t_stars(model),
+        "sigma_weighted": fc.sigma_weighted,
+        "eps_pod_tail": fc.eps_pod_tail,
+        "eps_mls": fc.eps_mls,
+        "forced": fc.forced,
+        "corrected_node_count": (
+            int(fc.corrected_nodes.size) if fc.corrected_nodes is not None else 0
+        ),
+        "boundary_values": fc.boundary_values,
+    }
+    if truth is not None:
+        summary["relative_error"] = _fluid_error(fc.field, truth, fc.fluid_mask, model.grid)
     if fc.correction_report is not None and fc.correction_report.rows:
-        fc.correction_report.to_csv(out / "correction_report.csv")
+        _write_correction_report(out / "correction_report.csv", fc.correction_report)
     print(write_json(out / "summary.json", summary))
     return 0
 
@@ -313,7 +331,7 @@ def _bench_bubble(out: Path) -> None:
         header="r,truth,rom_uncorrected,rom_corrected",
     )
     if fc.correction_report.rows:
-        fc.correction_report.to_csv(out / "bubble_correction_report.csv")
+        _write_correction_report(out / "bubble_correction_report.csv", fc.correction_report)
     exp = fc.corrected_nodes
     err_b = float(np.abs(uncorrected - truth)[exp].max()) if exp.size else 0.0
     err_a = float(np.abs(fc.field - truth)[exp].max()) if exp.size else 0.0

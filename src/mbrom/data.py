@@ -43,9 +43,9 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 class SpatialGrid:
     """Node coordinates plus per-node quadrature weights (cell measures).
 
-    ``coords`` has shape (N, dim) with dim 1 or 2.  Discrete integrals over
-    the domain are plain weighted sums, so every identity downstream holds
-    for any positive weights.
+    ``coords`` has shape (N, dim) with dim 1 or 2; a 1-D array is one
+    column.  Discrete integrals over the domain are plain weighted sums, so
+    every identity downstream holds for any positive weights.
     """
 
     dim: int
@@ -53,9 +53,8 @@ class SpatialGrid:
     quad_weights: np.ndarray
 
     def __post_init__(self):
-        coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if coords.shape[0] == 1 and coords.shape[1] > 2:
-            coords = coords.T
+        coords = np.asarray(self.coords, dtype=float)
+        coords = coords.reshape(-1, 1) if coords.ndim < 2 else coords
         w = np.asarray(self.quad_weights, dtype=float).ravel()
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "quad_weights", w)
@@ -300,15 +299,20 @@ def _read_grid(path: Path) -> SpatialGrid:
     return SpatialGrid(dim=dim, coords=gmat[:, :dim], quad_weights=gmat[:, dim])
 
 
+def _write_grid(path: Path, grid: SpatialGrid) -> None:
+    """The CSV ``_read_grid`` reads: the coordinates, then the weights."""
+    write_matrix(path, np.column_stack([grid.coords, grid.quad_weights]))
+
+
 def _read_json(path: str | Path):
     with open(path) as fh:
         return json.load(fh)
 
 
-def write_json(path: str | Path | None, payload, indent: int | None = 2) -> str:
-    """Write ``payload`` as JSON with sorted keys and a final newline (no
-    file when ``path`` is None); returns the text less its newline."""
-    text = json.dumps(payload, indent=indent, sort_keys=True)
+def write_json(path: str | Path | None, payload) -> str:
+    """Write ``payload`` as JSON, indented by 2, with sorted keys and a final
+    newline (no file when ``path`` is None); returns the text less it."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if path is not None:
         Path(path).write_text(text + "\n")
     return text
@@ -400,8 +404,7 @@ def save_dataset(s: SnapshotSet, out_dir: str | Path) -> Path:
     """Write a SnapshotSet as manifest + CSVs; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    gmat = np.column_stack([s.grid.coords, s.grid.quad_weights])
-    write_matrix(out / "grid.csv", gmat)
+    _write_grid(out / "grid.csv", s.grid)
     write_matrix(out / "fields.csv", s.fields)
     write_matrix(out / "times.csv", s.times)
     meta = {

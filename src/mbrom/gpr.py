@@ -42,13 +42,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
-
-from .data import _read_json, write_json
 
 __all__ = [
     "Kernel",
@@ -65,8 +62,6 @@ __all__ = [
     "energy_weighted",
     "gpr_horizon_modes",
     "gpr_horizon_boundary",
-    "save_gpr_model",
-    "load_gpr_model",
 ]
 
 JITTER0 = 1e-10
@@ -609,30 +604,4 @@ def gpr_horizon_boundary(
         per_param=tuple(stars),
         at_data_end=any_end,
         capped=max_steps in lasts,
-    )
-
-
-def save_gpr_model(m: GprModel, path: str | Path) -> None:
-    write_json(path, {
-        "theta_f": m.kernel.theta_f,
-        "theta_l": m.kernel.theta_l,
-        "noise_var": m.noise_var,
-        "t_mean": m.t_mean,
-        "t_scale": m.t_scale,
-        "y_scale": m.y_scale,
-        "train_t": m.train_t.tolist(),
-        "train_y": m.train_y.tolist(),
-    })
-
-
-def load_gpr_model(path: str | Path) -> GprModel:
-    p = _read_json(path)
-    return GprModel(
-        Kernel(p["theta_f"], p["theta_l"]),
-        p["noise_var"],
-        np.asarray(p["train_t"]),
-        np.asarray(p["train_y"]),
-        t_mean=p["t_mean"],
-        t_scale=p["t_scale"],
-        y_scale=p["y_scale"],
     )

@@ -25,7 +25,7 @@ stencil runs over that stencil alone.
 
 The Lebesgue constant Lambda_j = sum |a_j| bounds how much the fit can
 amplify errors in the trusted values.  It is reported per corrected node
-(``CorrectionReport.lebesgue``, the ``lebesgue`` column of
+(``CorrectionReport.lebesgue``, which ``mbrom forecast`` writes to
 ``correction_report.csv``), and a correction with any Lambda_j above
 ``LEBESGUE_WARN`` = 1e3 warns once.  A direct solve for the fit's
 coefficients agrees with a_j . f[S_j] to rounding, within
@@ -39,12 +39,11 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import SpatialGrid, write_matrix
+from .data import SpatialGrid
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -315,14 +314,6 @@ class CorrectionReport:
 
     def corrected_nodes(self) -> np.ndarray:
         return np.array([r[0] for r in self.rows], dtype=int)
-
-    def to_csv(self, path: str | Path) -> None:
-        """One line per row, node first; a row without a Lebesgue constant
-        gets nan.  A node index prints as an integer under ``FMT``."""
-        lebesgue = np.full(len(self.rows), np.nan)
-        lebesgue[: len(self.lebesgue)] = self.lebesgue
-        mat = np.column_stack([np.reshape(self.rows, (-1, 4)), lebesgue])
-        write_matrix(path, mat, header="node,h,before,after,lebesgue")
 
 
 class StencilCache:

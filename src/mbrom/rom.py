@@ -27,6 +27,7 @@ from .data import (
     _read_grid,
     _read_json,
     _read_matrix,
+    _write_grid,
     fill_occluded,
     inner_product,
     write_json,
@@ -38,11 +39,10 @@ from .gpr import (
     GprModel,
     GprStack,
     GprTolerances,
+    Kernel,
     energy_weighted,
     gpr_horizon_boundary,
     gpr_horizon_modes,
-    load_gpr_model,
-    save_gpr_model,
     train,  # noqa: F401  perfbench/spans.py wraps mbrom.rom.train by name
     train_many,
 )
@@ -430,6 +430,33 @@ def adaptive_loop(
 # serialization
 
 
+def _save_gp(m: GprModel, path: Path) -> None:
+    """One GP as a JSON file that holds all ``GprModel`` needs to rebuild it."""
+    write_json(path, {
+        "theta_f": m.kernel.theta_f,
+        "theta_l": m.kernel.theta_l,
+        "noise_var": m.noise_var,
+        "t_mean": m.t_mean,
+        "t_scale": m.t_scale,
+        "y_scale": m.y_scale,
+        "train_t": m.train_t.tolist(),
+        "train_y": m.train_y.tolist(),
+    })
+
+
+def _load_gp(path: Path) -> GprModel:
+    p = _read_json(path)
+    return GprModel(
+        Kernel(p["theta_f"], p["theta_l"]),
+        p["noise_var"],
+        np.asarray(p["train_t"]),
+        np.asarray(p["train_y"]),
+        t_mean=p["t_mean"],
+        t_scale=p["t_scale"],
+        y_scale=p["y_scale"],
+    )
+
+
 def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
     """Write the model as a directory; a callable geometry rule is refused,
     since a reloaded model could not find the exposed nodes."""
@@ -446,9 +473,9 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
     gdir = out / "gpr"  # perfbench/selftest.py edits train_y in gpr/mode_0.json
     gdir.mkdir(exist_ok=True)
     for k, mm in enumerate(m.mode_models):
-        save_gpr_model(mm, gdir / f"mode_{k}.json")
+        _save_gp(mm, gdir / f"mode_{k}.json")
     write_matrix(out / "mean.csv", m.mean)
-    write_matrix(out / "grid.csv", np.column_stack([m.grid.coords, m.grid.quad_weights]))
+    _write_grid(out / "grid.csv", m.grid)
     write_matrix(out / "window_all_fluid.csv", m.window_all_fluid.astype(int), fmt="%d")
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -473,7 +500,7 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         bdir = out / "boundary"
         bdir.mkdir(exist_ok=True)
         for j, bm in enumerate(m.boundary_models):
-            save_gpr_model(bm, bdir / f"param_{j}.json")
+            _save_gp(bm, bdir / f"param_{j}.json")
         meta["boundary_names"] = m.boundary.names
         meta["t_star_gpr_gamma"] = m.horizon_gpr_gamma.t_star
         meta["t_star_gpr_gamma_per_param"] = list(m.horizon_gpr_gamma.per_param)
@@ -515,7 +542,7 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     R = modes.shape[0]
     gp_files = [f"gpr/mode_{k}.json" for k in range(R)]
     gp_files += [f"boundary/param_{j}.json" for j in range(len(names or ()))]
-    gps = [load_gpr_model(src / f) for f in gp_files]
+    gps = [_load_gp(src / f) for f in gp_files]
     # pairs of (file, size, unit) whose sizes must agree
     nodes = ("grid.csv", grid.n_nodes, "nodes")
     spectrum = ("pod/eigenvalues.csv", eigenvalues.size, "entries")

@@ -157,10 +157,40 @@ class TestConfigKeys:
 
     def test_gen_reads_its_config(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"nx": 51, "m": 4}))
+        cfgfile.write_text(json.dumps({"nx": 51, "m": 4, "re": None}))  # null: unset
         out = tmp_path / "ds"
         assert main(["gen", "burgers", "--out", str(out), "--config", str(cfgfile)]) == 0
         assert read_csv(out / "fields.csv").shape == (4, 51)
+
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("gen", "re", [1], "a finite number"),
+        ("gen", "m", 20.7, "an integer"),
+        ("gen", "nr", "60", "a finite number"),
+        ("build", "alpha_pod", "0.1", "a finite number"),
+        ("build", "mls_order", True, "a finite number"),
+        ("build", "beta_pod", {"value": 0.3}, "a finite number"),
+        ("adaptive", "t_target", float("nan"), "a finite number"),
+        ("adaptive", "m", 20.5, "an integer"),
+        ("adaptive", "dt", False, "a finite number"),
+    ], ids=["gen-list", "gen-fraction", "gen-string", "build-string", "build-true",
+            "build-object", "adaptive-nan", "adaptive-fraction", "adaptive-false"])
+    def test_value_that_is_not_a_number_refused(
+        self, built_model, tmp_path, capsys, command, key, value, kind
+    ):
+        argv = {
+            "gen": ["gen", "bubble"],
+            "build": ["build", str(built_model[0])],
+            "adaptive": ["adaptive"],
+        }[command]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.strip() == (
+            f"error: {cfgfile}: config key {key!r} must be {kind}, not {value!r}"
+        )
 
 
 class TestForecast:
@@ -406,19 +436,27 @@ def bubble_model(tmp_path_factory):
 
 
 class TestForecastTruthMovingBoundary:
-    def test_shifted_truth_grid_refused(self, bubble_model, tmp_path, capsys):
+    @pytest.mark.parametrize("gen, message", [
+        (["--nr", "200", "--t1", "51", "--tm", "69", "--m", "19"],
+         "truth grid has 200 nodes, the model grid 270"),
         # a longer window moves the generated grid's inner edge by ~1.7e-4
+        (["--t1", "51", "--tm", "69", "--m", "19"],
+         "truth grid differs from the model grid: largest coordinate offset 0.000172"),
+        ([], "truth dataset has no snapshot at t=64"),  # the model's own window
+    ], ids=["nodes", "offset", "time"])
+    def test_refused_truth_writes_nothing(self, bubble_model, tmp_path, capsys, gen, message):
         truth = tmp_path / "truth"
-        assert main([
-            "gen", "bubble", "--t1", "51", "--tm", "69", "--m", "19",
-            "--out", str(truth),
-        ]) == 0
+        assert main(["gen", "bubble", *gen, "--out", str(truth)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "fc"
         rc = main([
             "forecast", str(bubble_model), "--t", "64", "--force",
-            "--truth", str(truth), "--out", str(tmp_path / "fc"),
+            "--truth", str(truth), "--out", str(out),
         ])
-        assert rc == 1
-        assert "largest coordinate offset 0.000172" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.strip() == f"error: {message}"
+        assert not out.exists()
 
     def test_error_over_predicted_fluid_region(self, bubble_model, tmp_path):
         cfg = BubbleConfig()

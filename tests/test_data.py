@@ -1,5 +1,6 @@
 """Grid, snapshot, fill and file I/O tests."""
 
+import ast
 import csv
 import json
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbrom
 from mbrom.data import (
     FMT,
     BoundaryTrack,
@@ -64,6 +66,17 @@ class TestGrid:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError, match="2 nodes"):
             SpatialGrid(dim=1, coords=np.array([[0.0]]), quad_weights=np.ones(1))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_coords_are_one_column(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        g = SpatialGrid(dim=1, coords=x, quad_weights=np.ones(n))
+        np.testing.assert_array_equal(g.coords, x[:, None])
+
+    def test_row_of_coords_refused(self):
+        # one node with three coordinates, not three nodes
+        with pytest.raises(ValueError, match="coords have 3 columns, expected dim=1"):
+            SpatialGrid(dim=1, coords=np.array([[0.0, 0.5, 1.0]]), quad_weights=np.ones(1))
 
     def test_uniform_1d_spacing(self):
         g = SpatialGrid.uniform_1d(0.0, 1.0, 11)
@@ -369,3 +382,19 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError) as exc:
             load_snapshots(tmp_path)
         assert str(exc.value) == f"{name}: non-finite entry at row {row}"
+
+
+@pytest.mark.parametrize("module", ["pod", "gpr", "mls", "galerkin"])
+def test_numerical_module_does_no_file_io(module):
+    # data.py owns the codecs, rom.py the model files and cli.py the command
+    # outputs; the numerical core imports none of them
+    path = Path(mbrom.__file__).parent / f"{module}.py"
+    banned = {"pathlib", "json", "csv", "write_json", "_read_json", "write_matrix",
+              "_read_matrix", "_write_grid"}
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[0]} | {a.name for a in node.names}
+    assert not imported & banned

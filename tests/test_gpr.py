@@ -17,13 +17,11 @@ from mbrom.gpr import (
     gpr_horizon_boundary,
     gpr_horizon_modes,
     kernel_matrix,
-    load_gpr_model,
     nlml,
-    save_gpr_model,
     train,
     weighted_sigma,
 )
-from mbrom.rom import build, forecast, load_rom_model, save_rom_model
+from mbrom.rom import _load_gp, _save_gp, build, forecast, load_rom_model, save_rom_model
 from test_gpr_training import FIXTURES, _disk_snapshots
 
 
@@ -398,8 +396,8 @@ class TestSerialization:
         t = np.sort(rng.uniform(0, 2, 11))
         y = np.cos(2 * t) + 0.02 * rng.standard_normal(11)
         m = train(t, y)
-        save_gpr_model(m, tmp_path / "gp.json")
-        m2 = load_gpr_model(tmp_path / "gp.json")
+        _save_gp(m, tmp_path / "gp.json")
+        m2 = _load_gp(tmp_path / "gp.json")
         tq = np.linspace(-1, 4, 40)
         np.testing.assert_array_equal(m.predict(tq)[0], m2.predict(tq)[0])
         np.testing.assert_array_equal(m.predict(tq)[1], m2.predict(tq)[1])

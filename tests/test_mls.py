@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mbrom.cli import _write_correction_report
 from mbrom.data import SpatialGrid
 from mbrom.mls import (
     CorrectionReport,
@@ -172,7 +173,7 @@ class TestCorrectField:
     def test_report_csv(self, tmp_path):
         report = CorrectionReport(rows=[(3, 0.1, 1.0, 2.0)], uncorrected=[7],
                                   lebesgue=[2.5])
-        report.to_csv(tmp_path / "r.csv")
+        _write_correction_report(tmp_path / "r.csv", report)
         text = (tmp_path / "r.csv").read_text()
         assert text.splitlines()[0] == "node,h,before,after,lebesgue"
         assert "3," in text
