@@ -8,13 +8,12 @@ against the exact solution.
 
 from mbrom import (
     BurgersConfig,
-    GprTolerances,
+    Thresholds,
     adaptive_loop,
     burgers_exact,
     burgers_snapshots,
     relative_error,
 )
-from mbrom.pod import PodThresholds
 
 cfg = BurgersConfig(reynolds=100.0)
 DT = 0.01
@@ -29,8 +28,7 @@ def solver(state, t_start, n):
 forecasts, log = adaptive_loop(
     solver,
     window=20,
-    thresholds=PodThresholds(),
-    tolerances=GprTolerances(beta_gpr_a=0.01),
+    thresholds=Thresholds(beta_gpr_a=0.01),
     t_target=1.2,
     t_start=0.3,
 )

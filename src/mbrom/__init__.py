@@ -27,7 +27,6 @@ from .data import (
 from .galerkin import GalerkinOperators, assemble_operators, integrate
 from .gpr import (
     GprModel,
-    GprTolerances,
     Kernel,
     gpr_horizon_boundary,
     gpr_horizon_modes,
@@ -40,7 +39,6 @@ from .gpr import (
 from .mls import MlsConfig, StencilCache, correct_field, mls_value, wendland_c2
 from .pod import (
     PodBasis,
-    PodThresholds,
     decompose,
     pod_horizon,
     project,
@@ -53,6 +51,7 @@ from .rom import (
     HorizonExceededError,
     RomForecast,
     RomModel,
+    Thresholds,
     adaptive_loop,
     build,
     forecast,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BoundaryTrack, DomainMask, SnapshotSet, SpatialGrid
+from .data import _require_finite_fields
 
 __all__ = [
     "BurgersConfig",
@@ -32,6 +33,7 @@ class BurgersConfig:
     nx: int = 1001
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.reynolds <= 0:
             raise ValueError("Reynolds number must be positive")
         if self.nx < 2:
@@ -93,6 +95,7 @@ class BubbleConfig:
     r_min: float | None = None
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.base_radius - abs(self.amplitude) <= 0:
             raise ValueError("radius law must stay positive")
         if self.r_max <= self.base_radius + abs(self.amplitude):

@@ -7,11 +7,12 @@ and ``adaptive``, flag values win over the optional JSON config file
 (``--config``), whose keys are the subcommand's option names (``alpha_pod``
 for ``--alpha-pod``); any other key is an error.  An option set by neither
 is not passed on, so the library's own default applies: the dataclasses
-``PodThresholds``, ``GprTolerances``, ``MlsConfig``, ``BurgersConfig`` and
-``BubbleConfig``.  ``build`` refuses moving-boundary data that it cannot
-forecast: no geometry rule (more than one boundary parameter), or no node
-fluid in every snapshot.  Exit codes: 0 success, 1 input or validation
-error, 2 forecast beyond the certified horizon without --force.
+``Thresholds``, ``MlsConfig``, ``BurgersConfig`` and ``BubbleConfig``.
+``gen`` refuses an option of the other benchmark.  ``build`` refuses
+moving-boundary data that it cannot forecast: no geometry rule (more than
+one boundary parameter), or no node fluid in every snapshot.  Exit codes:
+0 success, 1 input or validation error, 2 forecast beyond the certified
+horizon without --force.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .data import (
     write_matrix,
 )
 from .galerkin import assemble_operators, integrate
-from .gpr import GprStack, GprTolerances, train_many
+from .gpr import GprStack, train_many
 from .mls import CorrectionReport, MlsConfig
-from .pod import PodThresholds
 from .rom import (
     HorizonExceededError,
+    Thresholds,
     adaptive_loop,
     build,
     forecast,
@@ -56,6 +57,9 @@ __all__ = ["main"]
 # and what the bench suites build from.
 _BURGERS_WINDOW = (0.3, 0.5, 20)
 _BUBBLE_WINDOW = (51.0, 60.0, 10)
+
+# the options that set one benchmark's config, which ``gen`` refuses for the other
+_GEN_OPTIONS = {"burgers": ("nx", "re"), "bubble": ("amplitude", "nr", "omega")}
 
 # integer options, which a config file may give as floats (20.0)
 _INTS = frozenset({"nx", "nr", "m", "mls_order"})
@@ -113,10 +117,9 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _thresholds(args, config) -> tuple[PodThresholds, GprTolerances]:
-    return (
-        PodThresholds(**_given(args, config, "alpha_pod", "beta_pod")),
-        GprTolerances(**_given(args, config, "beta_gpr_a", "beta_gpr_gamma")),
+def _thresholds(args, config) -> Thresholds:
+    return Thresholds(
+        **_given(args, config, "alpha_pod", "beta_pod", "beta_gpr_a", "beta_gpr_gamma")
     )
 
 
@@ -145,6 +148,14 @@ def _horizons(model) -> dict:
 
 def cmd_gen(args) -> int:
     config = _load_config(args)
+    (other,) = set(_GEN_OPTIONS) - {args.benchmark}
+    for key in _GEN_OPTIONS[other]:
+        if _resolve(args, config, key) is not None:
+            reads = sorted(args.config_keys - set(_GEN_OPTIONS[other]))
+            raise ValueError(
+                f"option {key!r} is a {other} option; "
+                f"gen {args.benchmark} reads {', '.join(reads)}"
+            )
     out = Path(args.out)
     if args.benchmark == "burgers":
         cfg = bench_mod.BurgersConfig(**_given(args, config, "nx", reynolds="re"))
@@ -161,13 +172,12 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     config = _load_config(args)
-    thr, tol = _thresholds(args, config)
+    thresholds = _thresholds(args, config)
     mls = _given(args, config, order="mls_order")
     snaps = load_snapshots(args.dataset)
     model = build(
         snaps,
-        thresholds=thr,
-        tolerances=tol,
+        thresholds=thresholds,
         mls_cfg=MlsConfig(**mls) if mls else None,
     )
     out = Path(args.out)
@@ -378,8 +388,8 @@ def cmd_adaptive(args) -> int:
     def solver(state, t0, n):
         return bench_mod.burgers_snapshots(cfg, t0, t0 + (n - 1) * dt, n)
 
-    thr, tol = _thresholds(args, config)
-    forecasts, log = adaptive_loop(solver, m, thr, tol, t_target, t_start)
+    thresholds = _thresholds(args, config)
+    forecasts, log = adaptive_loop(solver, m, thresholds, t_target, t_start)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     x = cfg.grid().coords[:, 0]

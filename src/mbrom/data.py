@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -37,6 +37,15 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     if bad.any():
         row = int(np.argmax(bad.reshape(a.shape[0], -1).any(axis=1))) + 1
         raise ValueError(f"non-finite {what} {row}")
+
+
+def _require_finite_fields(record) -> None:
+    """Reject a config dataclass with a NaN or infinite field, naming the
+    field; a field of None is unset and passes."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "Kernel",
-    "GprTolerances",
     "GprModel",
     "GprStack",
     "GprHorizon",
@@ -82,18 +81,6 @@ class Kernel:
     def __post_init__(self):
         if self.theta_f <= 0 or self.theta_l <= 0:
             raise ValueError("kernel scales must be positive")
-
-
-@dataclass(frozen=True)
-class GprTolerances:
-    """Uncertainty tolerances for the two GPR forecast-horizon criteria."""
-
-    beta_gpr_a: float = 0.1
-    beta_gpr_gamma: float = 0.1
-
-    def __post_init__(self):
-        if self.beta_gpr_a <= 0 or self.beta_gpr_gamma <= 0:
-            raise ValueError("GPR tolerances must be positive")
 
 
 def kernel_matrix(k: Kernel, t: np.ndarray, tp: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import SpatialGrid
+from .data import SpatialGrid, _require_finite_fields
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -248,6 +248,7 @@ class MlsConfig:
     max_growths: int = 8
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.order < 0:
             raise ValueError("polynomial order must be >= 0")
         if self.kernel_len is not None and self.kernel_len <= 0:

@@ -18,7 +18,6 @@ from .data import SnapshotSet, inner_product
 
 __all__ = [
     "PodBasis",
-    "PodThresholds",
     "PodHorizon",
     "decompose",
     "truncate",
@@ -29,20 +28,6 @@ __all__ = [
     "ric",
     "pod_horizon",
 ]
-
-@dataclass(frozen=True)
-class PodThresholds:
-    """Truncation threshold and the eigenvalue-decay forecast tolerance."""
-
-    alpha_pod: float = 0.01
-    beta_pod: float = 0.3
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_pod < 1.0):
-            raise ValueError(f"alpha_pod must lie in (0,1), got {self.alpha_pod}")
-        if not (0.0 < self.beta_pod < 1.0):
-            raise ValueError(f"beta_pod must lie in (0,1), got {self.beta_pod}")
-
 
 @dataclass(frozen=True)
 class PodBasis:

@@ -11,6 +11,7 @@ outside B by the moving least squares correction from the trusted nodes
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -38,7 +39,6 @@ from .gpr import (
     GprHorizon,
     GprModel,
     GprStack,
-    GprTolerances,
     Kernel,
     energy_weighted,
     gpr_horizon_boundary,
@@ -47,9 +47,10 @@ from .gpr import (
     train_many,
 )
 from .mls import CorrectionReport, MlsConfig, StencilCache, correct_field
-from .pod import PodBasis, PodHorizon, PodThresholds
+from .pod import PodBasis, PodHorizon
 
 __all__ = [
+    "Thresholds",
     "RomModel",
     "RomForecast",
     "HandoffRecord",
@@ -73,6 +74,26 @@ class HorizonExceededError(RuntimeError):
     """Query time lies beyond the certified forecast horizon."""
 
 
+@dataclass(frozen=True)
+class Thresholds:
+    """The method's four settings: the POD truncation threshold, and the
+    tolerances of the three horizon criteria (eigenvalue decay, mode
+    coefficient and boundary parameter uncertainty)."""
+
+    alpha_pod: float = 0.01
+    beta_pod: float = 0.3
+    beta_gpr_a: float = 0.1
+    beta_gpr_gamma: float = 0.1
+
+    def __post_init__(self):
+        # the POD settings lie in (0, 1), the GP tolerances in (0, inf)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            upper = 1.0 if f.name.endswith("_pod") else np.inf
+            if not 0.0 < value < upper:
+                raise ValueError(f"{f.name} must lie in (0, {upper:g}), got {value}")
+
+
 def _node_radii(grid: SpatialGrid) -> np.ndarray:
     return np.sqrt(np.sum(grid.coords**2, axis=1))
 
@@ -83,8 +104,7 @@ class RomModel:
     mean: np.ndarray
     basis: PodBasis
     mode_models: list[GprModel]
-    thresholds: PodThresholds
-    tolerances: GprTolerances
+    thresholds: Thresholds
     t1: float
     tM: float
     scan_step: float
@@ -168,8 +188,7 @@ class RomForecast:
 
 def build(
     s: SnapshotSet,
-    thresholds: PodThresholds = PodThresholds(),
-    tolerances: GprTolerances = GprTolerances(),
+    thresholds: Thresholds = Thresholds(),
     mls_cfg: MlsConfig | None = None,
     boundary_geometry: str | Callable | None = None,
     seed: int = 0,
@@ -240,10 +259,10 @@ def build(
     horizon_gamma = None
     if moving:
         horizon_gamma = gpr_horizon_boundary(
-            boundary_models, tM, tolerances.beta_gpr_gamma, scan_step
+            boundary_models, tM, thresholds.beta_gpr_gamma, scan_step
         )
     horizon_a = gpr_horizon_modes(
-        mode_models, basis.eigenvalues, tM, tolerances.beta_gpr_a, scan_step
+        mode_models, basis.eigenvalues, tM, thresholds.beta_gpr_a, scan_step
     )
     model = RomModel(
         grid=s.grid,
@@ -251,7 +270,6 @@ def build(
         basis=basis,
         mode_models=mode_models,
         thresholds=thresholds,
-        tolerances=tolerances,
         t1=t1,
         tM=tM,
         scan_step=scan_step,
@@ -367,8 +385,7 @@ class HandoffRecord:
 def adaptive_loop(
     solver: Callable[[np.ndarray | None, float, int], SnapshotSet],
     window: int,
-    thresholds: PodThresholds,
-    tolerances: GprTolerances,
+    thresholds: Thresholds,
     t_target: float,
     t_start: float,
     state0: np.ndarray | None = None,
@@ -380,8 +397,12 @@ def adaptive_loop(
     whichever is earlier); the forecast becomes the next round's initial
     state.  A round whose horizon offers no extrapolation falls back to
     plain solver continuation from its last snapshot; two such rounds in a
-    row abort the loop.
+    row abort the loop.  A target or start time that is not finite is
+    refused before the solver runs.
     """
+    for name, value in (("t_target", t_target), ("t_start", t_start)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     forecasts: list[RomForecast] = []
     log: list[HandoffRecord] = []
     t0 = float(t_start)
@@ -391,7 +412,7 @@ def adaptive_loop(
     while True:
         round_index += 1
         snaps = solver(state, t0, window)
-        model = build(snaps, thresholds, tolerances)
+        model = build(snaps, thresholds)
         if t_target <= model.tM:
             break
         t_star = model.t_star
@@ -430,6 +451,16 @@ def adaptive_loop(
 # serialization
 
 
+# the keys of a GP file, and those that are scales and must be positive
+_GP_KEYS = ("theta_f", "theta_l", "noise_var", "t_mean", "t_scale", "y_scale",
+            "train_t", "train_y")
+_GP_SCALES = ("theta_f", "theta_l", "t_scale", "y_scale")
+
+
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _save_gp(m: GprModel, path: Path) -> None:
     """One GP as a JSON file that holds all ``GprModel`` needs to rebuild it."""
     write_json(path, {
@@ -445,16 +476,36 @@ def _save_gp(m: GprModel, path: Path) -> None:
 
 
 def _load_gp(path: Path) -> GprModel:
+    """Read a GP file.  A missing key, a value that is not a finite number
+    (a list of them for the training data) or a scale that is not positive
+    is refused with the file and the key named, and a negative noise
+    variance or training lists of unequal length with the file named."""
     p = _read_json(path)
-    return GprModel(
-        Kernel(p["theta_f"], p["theta_l"]),
-        p["noise_var"],
-        np.asarray(p["train_t"]),
-        np.asarray(p["train_y"]),
-        t_mean=p["t_mean"],
-        t_scale=p["t_scale"],
-        y_scale=p["y_scale"],
-    )
+    if not isinstance(p, dict):
+        raise ValueError(f"{path}: a GP file must hold a JSON object")
+    for key in _GP_KEYS:
+        if key not in p:
+            raise ValueError(f"{path}: missing key {key!r}")
+        value = p[key]
+        if key.startswith("train_"):
+            if not (isinstance(value, list) and all(map(_finite_number, value))):
+                raise ValueError(f"{path}: key {key!r} must be a list of finite numbers")
+        elif not _finite_number(value):
+            raise ValueError(f"{path}: key {key!r} must be a finite number, not {value!r}")
+        elif key in _GP_SCALES and value <= 0:
+            raise ValueError(f"{path}: key {key!r} must be > 0, not {value!r}")
+    try:
+        return GprModel(
+            Kernel(p["theta_f"], p["theta_l"]),
+            p["noise_var"],
+            np.asarray(p["train_t"]),
+            np.asarray(p["train_y"]),
+            t_mean=p["t_mean"],
+            t_scale=p["t_scale"],
+            y_scale=p["y_scale"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
@@ -484,7 +535,6 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         "tM": m.tM,
         "scan_step": m.scan_step,
         **asdict(m.thresholds),
-        **asdict(m.tolerances),
         "t_star_pod": m.horizon_pod.t_star,
         "t_star_gpr_a": m.horizon_gpr_a.t_star,
         "gpr_a_at_data_end": m.horizon_gpr_a.at_data_end,
@@ -582,8 +632,7 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
         mean=mean,
         basis=PodBasis(eigenvalues, modes, R, outputs[:, :R]),
         mode_models=gps[:R],
-        thresholds=_from_fields(PodThresholds, meta),
-        tolerances=_from_fields(GprTolerances, meta),
+        thresholds=_from_fields(Thresholds, meta),
         t1=meta["t1"],
         tM=meta["tM"],
         scan_step=meta["scan_step"],

@@ -22,7 +22,6 @@ from mbrom.data import fill_occluded, inner_product
 from mbrom.galerkin import assemble_operators, integrate
 from mbrom.gpr import (
     GprModel,
-    GprTolerances,
     Kernel,
     gpr_horizon_boundary,
     gpr_horizon_modes,
@@ -33,14 +32,13 @@ from mbrom.gpr import (
 from mbrom.mls import MlsConfig, mls_value
 from mbrom.pod import (
     PodBasis,
-    PodThresholds,
     decompose,
     pod_horizon,
     reconstruct,
     reconstruction_error,
     truncate,
 )
-from mbrom.rom import adaptive_loop, build, forecast, relative_error
+from mbrom.rom import Thresholds, adaptive_loop, build, forecast, relative_error
 
 RE_VALUES = (1.0, 100.0, 300.0, 500.0)
 
@@ -368,7 +366,7 @@ def test_criterion_8_adaptive_loop():
 
     t_begin = time.perf_counter()
     forecasts, log = adaptive_loop(
-        solver, 20, PodThresholds(), GprTolerances(beta_gpr_a=0.01),
+        solver, 20, Thresholds(beta_gpr_a=0.01),
         t_target=1.2, t_start=0.3,
     )
     elapsed = time.perf_counter() - t_begin

@@ -55,6 +55,11 @@ class TestBurgersExact:
         with pytest.raises(ValueError):
             BurgersConfig(nx=1)  # no grid spacing
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_reynolds_refused(self, value):
+        with pytest.raises(ValueError, match="^reynolds must be finite"):
+            BurgersConfig(reynolds=value)
+
 
 class TestBurgersSnapshots:
     def test_mean_is_time_average(self):
@@ -148,3 +153,15 @@ class TestBubble:
             BubbleConfig(amplitude=1.5)
         with pytest.raises(ValueError):
             BubbleConfig(r_max=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega", float("nan")),
+        ("base_radius", float("nan")),
+        ("amplitude", float("nan")),
+        ("t_bar", float("inf")),
+        ("r_max", float("inf")),
+        ("r_min", float("nan")),
+    ])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            BubbleConfig(**{field: value})

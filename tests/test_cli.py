@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import mbrom
-from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain
+import mbrom.benchmarks
+from mbrom.benchmarks import BubbleConfig, bubble_snapshots, bubble_strain, burgers_snapshots
 from mbrom.cli import _build_parser, _load_config, main
 from mbrom.data import BoundaryTrack, SnapshotSet, load_snapshots, save_dataset
 from mbrom.rom import build, load_rom_model, save_rom_model
@@ -48,6 +49,30 @@ class TestGen:
         rc = main(["gen", "burgers", "--re", "-1", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["burgers", "--nr", "60", "--amplitude", "0.3"], None, "amplitude"),
+        (["bubble", "--re", "5", "--nx", "7"], None, "nx"),
+        (["burgers"], {"nr": 60}, "nr"),
+        (["bubble"], {"re": 5}, "re"),
+    ], ids=["burgers-flags", "bubble-flags", "burgers-config", "bubble-config"])
+    def test_option_of_the_other_benchmark_refused(self, tmp_path, capsys, argv, config, key):
+        benchmark = argv[0]
+        other, reads = {
+            "burgers": ("bubble", "m, nx, re, t1, tm"),
+            "bubble": ("burgers", "amplitude, m, nr, omega, t1, tm"),
+        }[benchmark]
+        if config is not None:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfgfile)]
+        out = tmp_path / "ds"
+        assert main(["gen", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.strip() == (
+            f"error: option {key!r} is a {other} option; gen {benchmark} reads {reads}"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +436,26 @@ class TestBench:
 
 
 class TestAdaptive:
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-target", "nan"), ("--t-target", "inf"), ("--t-start", "inf"),
+    ])
+    def test_non_finite_time_exits_1(self, tmp_path, capsys, monkeypatch, flag, value):
+        calls = []
+
+        def solver(*args):
+            calls.append(args)
+            if len(calls) > 3:  # a loop that never ends fails here
+                raise AssertionError("the solver was called 4 times")
+            return burgers_snapshots(*args)
+
+        monkeypatch.setattr(mbrom.benchmarks, "burgers_snapshots", solver)
+        out = tmp_path / "adaptive"
+        assert main(["adaptive", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert captured.err.strip() == f"error: {name} must be finite, got {value}"
+        assert captured.out == "" and not out.exists() and calls == []
+
     def test_handoff_log(self, tmp_path):
         out = tmp_path / "adaptive"
         rc = main([
@@ -549,6 +594,41 @@ class TestModelFile:
             captured = capsys.readouterr()
             assert captured.out == "" and not out.exists()
             assert captured.err.strip() == f"error: {model}: {expected}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_scale", None, "missing key 't_scale'"),
+        ("t_scale", 0, "key 't_scale' must be > 0, not 0"),
+        ("theta_f", -1.0, "key 'theta_f' must be > 0, not -1.0"),
+        ("theta_l", float("inf"), "key 'theta_l' must be a finite number, not inf"),
+        ("noise_var", "0", "key 'noise_var' must be a finite number, not '0'"),
+        ("train_y", "nan", "key 'train_y' must be a list of finite numbers"),
+        ("train_t", 51.0, "key 'train_t' must be a list of finite numbers"),
+        ("noise_var", -1.0, "noise variance must be nonnegative"),
+        ("train_y", "short", "training inputs and outputs differ in length"),
+    ], ids=["missing", "zero-scale", "negative-scale", "inf", "string", "nan-entry", "number",
+            "negative-noise", "unequal-lengths"])
+    def test_malformed_gp_file_names_file_and_key(
+        self, bubble_model, tmp_path, capsys, key, value, message
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(bubble_model, model)
+        path = model / "gpr" / "mode_0.json"
+        gp = json.loads(path.read_text())
+        if value is None:
+            del gp[key]
+        elif value == "nan":
+            gp[key][3] = float("nan")
+        elif value == "short":
+            gp[key].pop()
+        else:
+            gp[key] = value
+        path.write_text(json.dumps(gp))
+        out = tmp_path / "fc"
+        assert self.forecast(model, out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        # the whole of stderr: no RuntimeWarning is printed before the error
+        assert captured.err.strip() == f"error: {path}: {message}"
 
     @pytest.mark.parametrize("command", ["horizon", "forecast"])
     @pytest.mark.parametrize("geometry", [None, "deleted", "ellipse"])

@@ -12,7 +12,6 @@ import gpr_oracles as oracle
 from mbrom.gpr import (
     GprModel,
     GprStack,
-    GprTolerances,
     Kernel,
     gpr_horizon_boundary,
     gpr_horizon_modes,
@@ -401,11 +400,3 @@ class TestSerialization:
         tq = np.linspace(-1, 4, 40)
         np.testing.assert_array_equal(m.predict(tq)[0], m2.predict(tq)[0])
         np.testing.assert_array_equal(m.predict(tq)[1], m2.predict(tq)[1])
-
-
-class TestTolerances:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GprTolerances(beta_gpr_a=0.0)
-        with pytest.raises(ValueError):
-            GprTolerances(beta_gpr_gamma=-1.0)

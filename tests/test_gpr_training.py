@@ -373,10 +373,10 @@ class TestHorizonScanOracle:
             m = models(name)
             assert m.horizon_gpr_a == oracle.gpr_horizon_modes(
                 m.mode_models, m.basis.eigenvalues, m.tM,
-                m.tolerances.beta_gpr_a, m.scan_step,
+                m.thresholds.beta_gpr_a, m.scan_step,
             )
             if m.boundary_models:
                 assert m.horizon_gpr_gamma == oracle.gpr_horizon_boundary(
-                    m.boundary_models, m.tM, m.tolerances.beta_gpr_gamma,
+                    m.boundary_models, m.tM, m.thresholds.beta_gpr_gamma,
                     m.scan_step,
                 )

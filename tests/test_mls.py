@@ -216,6 +216,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_growths"):
             MlsConfig(max_growths=-3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kernel_len", float("nan")),
+        ("kernel_len", float("inf")),
+        ("min_neighbor_factor", float("inf")),
+        ("min_neighbor_factor", float("nan")),
+        ("order", float("nan")),
+    ])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MlsConfig(**{field: value})
+
     def test_required_neighbors(self):
         cfg = MlsConfig(order=3, min_neighbor_factor=6.0)
         assert cfg.n_terms(1) == 4

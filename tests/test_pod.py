@@ -9,7 +9,6 @@ from mbrom.benchmarks import BurgersConfig, burgers_snapshots
 from mbrom.data import SnapshotSet, SpatialGrid, inner_product
 from mbrom.pod import (
     PodBasis,
-    PodThresholds,
     decompose,
     pod_horizon,
     project,
@@ -309,15 +308,6 @@ class TestPodHorizon:
         b = self.basis_with([10.0, 1.0, 0.1, 1e-16], retained=2)
         with pytest.warns(UserWarning):
             assert pod_horizon(b, 0.0, 1.0, 0.3).unbounded
-
-
-class TestThresholds:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PodThresholds(alpha_pod=0.0)
-        with pytest.raises(ValueError):
-            PodThresholds(beta_pod=1.0)
-        PodThresholds(0.01, 0.3)
 
 
 class TestSpectrumFixture:

@@ -32,10 +32,11 @@ from mbrom.data import (
     load_snapshots,
     save_dataset,
 )
-from mbrom.gpr import GprStack, GprTolerances
-from mbrom.pod import PodThresholds, reconstruct
+from mbrom.gpr import GprStack
+from mbrom.pod import reconstruct
 from mbrom.rom import (
     HorizonExceededError,
+    Thresholds,
     adaptive_loop,
     build,
     forecast,
@@ -455,6 +456,38 @@ class TestRelativeError:
             relative_error(np.ones(11), np.zeros(11), g)
 
 
+class TestThresholds:
+    # alpha_pod and beta_pod lie in (0, 1); beta_gpr_a and beta_gpr_gamma
+    # are finite and > 0, so NaN and inf are refused
+    @pytest.mark.parametrize("field, value, accepted", [
+        ("alpha_pod", 0.01, True),
+        ("beta_pod", 0.3, True),
+        ("beta_gpr_a", 1e6, True),
+        ("alpha_pod", 0.0, False),
+        ("beta_pod", 1.0, False),
+        ("beta_gpr_a", 0.0, False),
+        ("beta_gpr_gamma", -1.0, False),
+        ("alpha_pod", float("nan"), False),
+        ("beta_pod", float("inf"), False),
+        ("beta_gpr_a", float("nan"), False),
+        ("beta_gpr_gamma", float("inf"), False),
+    ])
+    def test_validation(self, field, value, accepted):
+        if accepted:
+            assert getattr(Thresholds(**{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{field} must lie in"):
+                Thresholds(**{field: value})
+
+    def test_model_file_keeps_the_four_keys(self, tmp_path, burgers_model):
+        _, _, m = burgers_model
+        save_rom_model(m, tmp_path / "model")
+        meta = json.loads((tmp_path / "model" / "model.json").read_text())
+        keys = ("alpha_pod", "beta_pod", "beta_gpr_a", "beta_gpr_gamma")
+        assert {k: meta[k] for k in keys} == dataclasses.asdict(Thresholds())
+        assert load_rom_model(tmp_path / "model").thresholds == Thresholds()
+
+
 class TestAdaptiveLoop:
     def solver(self, cfg, dt=0.01):
         def run(state, t0, n):
@@ -462,11 +495,30 @@ class TestAdaptiveLoop:
 
         return run
 
+    @pytest.mark.parametrize("name, t_target, t_start", [
+        ("t_target", float("nan"), 0.3),
+        ("t_target", float("inf"), 0.3),
+        ("t_start", 1.2, float("inf")),
+        ("t_start", 1.2, float("nan")),
+    ])
+    def test_non_finite_time_refused_before_the_solver_runs(self, name, t_target, t_start):
+        calls = []
+
+        def solver(state, t0, n):
+            calls.append(t0)
+            if len(calls) > 3:  # a loop that never ends fails here
+                raise AssertionError("the solver was called 4 times")
+            return self.solver(BurgersConfig(reynolds=100.0, nx=101))(state, t0, n)
+
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            adaptive_loop(solver, 20, Thresholds(), t_target=t_target, t_start=t_start)
+        assert calls == []
+
     def test_burgers_long_run(self):
         cfg = BurgersConfig(reynolds=100.0)
         forecasts, log = adaptive_loop(
-            self.solver(cfg), 20, PodThresholds(),
-            GprTolerances(beta_gpr_a=0.01), t_target=1.2, t_start=0.3,
+            self.solver(cfg), 20, Thresholds(beta_gpr_a=0.01),
+            t_target=1.2, t_start=0.3,
         )
         assert log, "expected at least one ROM segment"
         assert log[-1].t_handoff == pytest.approx(1.2)
@@ -482,7 +534,7 @@ class TestAdaptiveLoop:
     def test_target_inside_first_window(self):
         cfg = BurgersConfig(reynolds=100.0, nx=101)
         forecasts, log = adaptive_loop(
-            self.solver(cfg), 20, PodThresholds(), GprTolerances(),
+            self.solver(cfg), 20, Thresholds(),
             t_target=0.4, t_start=0.3,
         )
         assert forecasts == [] and log == []
@@ -490,11 +542,11 @@ class TestAdaptiveLoop:
     def test_no_progress_aborts(self):
         cfg = BurgersConfig(reynolds=100.0, nx=101)
         # impossible tolerance: criterion violated at the first scan step
-        tol = GprTolerances(beta_gpr_a=1e-12)
+        thresholds = Thresholds(beta_gpr_a=1e-12)
         with pytest.raises(RuntimeError, match="no forecast progress"):
             with pytest.warns(UserWarning):
                 adaptive_loop(
-                    self.solver(cfg), 20, PodThresholds(), tol,
+                    self.solver(cfg), 20, thresholds,
                     t_target=1.0, t_start=0.3,
                 )
 
