@@ -11,7 +11,7 @@ minimum.  This script sweeps the tolerances to show how each bound moves.
 import numpy as np
 
 from mbrom import BurgersConfig, build, burgers_snapshots
-from mbrom.gpr import gpr_horizon_modes
+from mbrom.gpr import gpr_horizon_modes, weighted_sigma
 from mbrom.pod import pod_horizon
 
 cfg = BurgersConfig(reynolds=100.0)
@@ -19,8 +19,8 @@ snaps = burgers_snapshots(cfg, 0.3, 0.5, 20)
 model = build(snaps)
 print(f"window [{model.t1}, {model.tM}], R = {model.basis.retained}")
 print(
-    f"defaults: t*_pod = {model.horizon_pod.t_star:.4f}, "
-    f"t*_gpr = {model.horizon_gpr_a.t_star:.4f}, "
+    f"defaults: t*_pod = {model.horizons['pod'].t_star:.4f}, "
+    f"t*_gpr = {model.horizons['gpr_a'].t_star:.4f}, "
     f"combined t* = {model.t_star:.4f} (binding: {model.binding_component()})"
 )
 
@@ -40,8 +40,9 @@ for beta in (0.01, 0.03, 0.1, 0.3):
         beta,
         model.scan_step,
     )
+    sigma = weighted_sigma(model.mode_models, model.basis.eigenvalues, h.t_star)
     print(f"  beta_gpr = {beta:4.2f} -> t* = {h.t_star:.4f}  "
-          f"(weighted sigma there: {h.sigma_weighted:.2e})")
+          f"(weighted sigma there: {sigma:.2e})")
 
 print("\nBoth bounds grow monotonically with their tolerance; the combined")
 print("horizon always takes the smallest, so loosening one criterion never")

@@ -26,11 +26,8 @@ r = snaps.grid.coords[:, 0]
 
 print(f"radius over the window: {track.values[0,0]:.4f} -> {track.values[-1,0]:.4f}")
 model = build(snaps)
-print(
-    f"R = {model.basis.retained} modes; horizons: "
-    f"pod {model.horizon_pod.t_star:.2f}, coeffs {model.horizon_gpr_a.t_star:.2f}, "
-    f"boundary {model.horizon_gpr_gamma.t_star:.2f} -> t* = {model.t_star:.2f}"
-)
+stars = ", ".join(f"{name} {h.t_star:.2f}" for name, h in model.horizons.items())
+print(f"R = {model.basis.retained} modes; horizons: {stars} -> t* = {model.t_star:.2f}")
 
 T_QUERY = 64.0
 fc = forecast(model, T_QUERY, force=T_QUERY > model.t_star)

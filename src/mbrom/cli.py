@@ -133,7 +133,7 @@ def _fluid_error(pred, truth, fluid, grid) -> float:
 def _t_stars(model) -> dict:
     """The three horizons' t* (the boundary one None without boundary GPs)
     and their minimum."""
-    stars = {f"t_star_{name}": t for name, t in model.t_stars().items()}
+    stars = {f"t_star_{name}": h.t_star for name, h in model.horizons.items()}
     return {"t_star_gpr_gamma": None, **stars, "t_star": model.t_star}
 
 

@@ -40,6 +40,7 @@ There is no random start; the result depends only on the data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,8 +52,7 @@ __all__ = [
     "Kernel",
     "GprModel",
     "GprStack",
-    "GprHorizon",
-    "BoundaryHorizon",
+    "Horizon",
     "kernel_matrix",
     "nlml",
     "train",
@@ -490,13 +490,21 @@ def weighted_sigma(models: list[GprModel], lambdas: np.ndarray, t_query: float) 
 
 
 @dataclass(frozen=True)
-class GprHorizon:
-    """Scan result: furthest time where the uncertainty ratio stays in tolerance."""
+class Horizon:
+    """One criterion's furthest forecast time t*, and whether its scan
+    stopped at the data end (no extrapolation) or at the step cap."""
 
     t_star: float
-    sigma_weighted: float
     at_data_end: bool = False
     capped: bool = False
+
+    def __post_init__(self):
+        t = self.t_star
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or math.isnan(t):
+            raise ValueError(f"t_star must be a number, not {t!r}")
+        for name in ("at_data_end", "capped"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {getattr(self, name)!r}")
 
 
 def _scan(
@@ -512,10 +520,16 @@ def _scan(
     return times, mu, sd
 
 
-def _last_ok(bad: np.ndarray) -> int:
-    """Last scan step before the first violating one (0 is the data end)."""
+def _horizon(times: np.ndarray, bad: np.ndarray, warning: str) -> Horizon:
+    """The scan's ``Horizon``: the last step before the first violating one.
+    Step 0 is the data end, where ``warning`` is issued to the scan's caller."""
     hits = np.flatnonzero(bad[1:])
-    return int(hits[0]) if hits.size else bad.shape[0] - 1
+    last = int(hits[0]) if hits.size else bad.shape[0] - 1
+    if last == 0:
+        warnings.warn(warning, stacklevel=3)
+    return Horizon(
+        float(times[last]), at_data_end=last == 0, capped=last == bad.shape[0] - 1
+    )
 
 
 def gpr_horizon_modes(
@@ -525,44 +539,24 @@ def gpr_horizon_modes(
     beta: float,
     scan_step: float,
     max_steps: int = 1000,
-) -> GprHorizon:
+) -> Horizon:
     """Largest grid time where the weighted sigma/|mu| ratio stays <= beta.
 
     The ratio weights each mode's posterior deviation and |mean| by its
     eigenvalue; the scan stops at the first violating step.  A sign change
     driving the denominator to zero counts as a violation.
     """
-    stack = GprStack(models)
-    times, mu, sd = _scan(stack, tM, scan_step, max_steps)
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    w = lam[: len(models)]
+    times, mu, sd = _scan(GprStack(models), tM, scan_step, max_steps)
+    w = np.asarray(lambdas, dtype=float).ravel()[: len(models)]
     den = (w * np.abs(mu)).sum(axis=1)
     num = (w * sd).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        last = _last_ok((den <= 0.0) | (num / den > beta))
-    if last == 0:
-        warnings.warn(
-            "GPR mode criterion violated at the first scan step; "
-            "no extrapolation permitted",
-            stacklevel=2,
-        )
-    t_star = float(times[last])
-    return GprHorizon(
-        t_star,
-        energy_weighted(stack.predict(t_star)[1][:, 0], lam),
-        at_data_end=last == 0,
-        capped=last == max_steps,
+        bad = (den <= 0.0) | (num / den > beta)
+    return _horizon(
+        times, bad,
+        "GPR mode criterion violated at the first scan step; "
+        "no extrapolation permitted",
     )
-
-
-@dataclass(frozen=True)
-class BoundaryHorizon:
-    """Per-parameter horizons and their minimum."""
-
-    t_star: float
-    per_param: tuple[float, ...]
-    at_data_end: bool = False
-    capped: bool = False
 
 
 def gpr_horizon_boundary(
@@ -571,24 +565,16 @@ def gpr_horizon_boundary(
     beta: float,
     scan_step: float,
     max_steps: int = 1000,
-) -> BoundaryHorizon:
-    """Per-parameter sigma/|mu| horizon; the overall bound is the minimum."""
+) -> Horizon:
+    """Largest grid time where every parameter's sigma/|mu| stays <= beta,
+    the minimum of the per-parameter horizons; the flags are the binding
+    parameter's."""
     times, mu, sd = _scan(GprStack(track_models), tM, scan_step, max_steps)
     amu = np.abs(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = (amu < 1e-12) | (sd / amu > beta)
-    lasts = [_last_ok(bad[:, j]) for j in range(bad.shape[1])]
-    stars = [float(times[k]) for k in lasts]
-    any_end = 0 in lasts
-    if any_end:
-        warnings.warn(
-            "a boundary-parameter criterion is violated at the first scan "
-            "step; no extrapolation permitted",
-            stacklevel=2,
-        )
-    return BoundaryHorizon(
-        t_star=float(min(stars)),
-        per_param=tuple(stars),
-        at_data_end=any_end,
-        capped=max_steps in lasts,
+    return _horizon(
+        times, bad.any(axis=1),
+        "a boundary-parameter criterion is violated at the first scan "
+        "step; no extrapolation permitted",
     )

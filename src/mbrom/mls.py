@@ -250,9 +250,9 @@ class MlsConfig:
     def __post_init__(self):
         _require_finite_fields(self)
         if self.order < 0:
-            raise ValueError("polynomial order must be >= 0")
+            raise ValueError("order must be >= 0")
         if self.kernel_len is not None and self.kernel_len <= 0:
-            raise ValueError("kernel length must be positive")
+            raise ValueError("kernel_len must be positive")
         if self.min_neighbor_factor < 1:
             raise ValueError("min_neighbor_factor must be >= 1")
         if self.max_growths < 0:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import SnapshotSet, inner_product
+from .gpr import Horizon
 
 __all__ = [
     "PodBasis",
-    "PodHorizon",
     "decompose",
     "truncate",
     "truncate_to",
@@ -144,24 +144,13 @@ def ric(b: PodBasis) -> np.ndarray:
     return 100.0 * b.eigenvalues / total
 
 
-@dataclass(frozen=True)
-class PodHorizon:
-    """Furthest forecast time allowed by the eigenvalue decay rate."""
-
-    t_star: float
-
-    @property
-    def unbounded(self) -> bool:
-        return bool(np.isinf(self.t_star))
-
-
-def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> PodHorizon:
+def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> Horizon:
     """Forecast-time bound from the decay rate of the dominant eigenvalues.
 
     t* = tM + (tM - t1) * beta * (ln lambda_2 - ln lambda_{R+2}) / R, with
     eigenvalues indexed from 1.  When the spectrum is too short or the
     (R+2)-th eigenvalue has hit round-off, the bound is reported as
-    unbounded rather than extrapolating the spectrum.
+    unbounded (t* = inf) rather than extrapolating the spectrum.
     """
     lam = b.eigenvalues
     R = b.retained
@@ -172,7 +161,7 @@ def pod_horizon(b: PodBasis, t1: float, tM: float, beta_pod: float) -> PodHorizo
             "lambda_{R+2} at round-off); POD poses no forecast bound",
             stacklevel=2,
         )
-        return PodHorizon(t_star=np.inf)
+        return Horizon(np.inf)
     decay = (np.log(lam[1]) - np.log(lam[R + 1])) / R
-    return PodHorizon(t_star=float(tM + (tM - t1) * beta_pod * decay))
+    return Horizon(float(tM + (tM - t1) * beta_pod * decay))
 

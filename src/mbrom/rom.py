@@ -35,10 +35,9 @@ from .data import (
     write_matrix,
 )
 from .gpr import (
-    BoundaryHorizon,
-    GprHorizon,
     GprModel,
     GprStack,
+    Horizon,
     Kernel,
     energy_weighted,
     gpr_horizon_boundary,
@@ -47,7 +46,7 @@ from .gpr import (
     train_many,
 )
 from .mls import CorrectionReport, MlsConfig, StencilCache, correct_field
-from .pod import PodBasis, PodHorizon
+from .pod import PodBasis
 
 __all__ = [
     "Thresholds",
@@ -64,10 +63,10 @@ __all__ = [
 ]
 
 
-# layout of the directory save_rom_model writes; version 1 also held
-# pod/coeffs.csv, pod/pod.json, boundary_track.json and the model.json keys
-# t_star and pod_unbounded, copies of values the loader now derives
-SCHEMA_VERSION = 2
+# layout of the directory save_rom_model writes; versions 1 and 2 also held
+# files and model.json keys that the loader derives or no command reads
+# (README, "Model directories")
+SCHEMA_VERSION = 3
 
 
 class HorizonExceededError(RuntimeError):
@@ -90,8 +89,8 @@ class Thresholds:
         for f in fields(self):
             value = getattr(self, f.name)
             upper = 1.0 if f.name.endswith("_pod") else np.inf
-            if not 0.0 < value < upper:
-                raise ValueError(f"{f.name} must lie in (0, {upper:g}), got {value}")
+            if not (isinstance(value, (int, float)) and 0.0 < value < upper):
+                raise ValueError(f"{f.name} must lie in (0, {upper:g}), got {value!r}")
 
 
 def _node_radii(grid: SpatialGrid) -> np.ndarray:
@@ -105,17 +104,14 @@ class RomModel:
     basis: PodBasis
     mode_models: list[GprModel]
     thresholds: Thresholds
-    t1: float
-    tM: float
-    scan_step: float
     window_all_fluid: np.ndarray
-    horizon_pod: PodHorizon
-    horizon_gpr_a: GprHorizon
+    # each criterion's horizon: "pod", "gpr_a" and, with boundary GPs,
+    # "gpr_gamma"; the first of equal t* binds
+    horizons: dict[str, Horizon]
     mls_cfg: MlsConfig | None = None
     boundary: BoundaryTrack | None = None
     boundary_models: list[GprModel] | None = None
     boundary_geometry: str | Callable | None = None
-    horizon_gpr_gamma: BoundaryHorizon | None = None
     field_name: str = "u"
     mls_cache: StencilCache = field(
         default_factory=StencilCache, init=False, repr=False, compare=False
@@ -135,20 +131,26 @@ class RomModel:
         """Distance of every grid node from the origin (the radius rule)."""
         return _node_radii(self.grid)
 
-    def t_stars(self) -> dict[str, float]:
-        """Each criterion's t*, keyed by the name ``binding_component`` reports."""
-        stars = {"pod": self.horizon_pod.t_star, "gpr_a": self.horizon_gpr_a.t_star}
-        if self.horizon_gpr_gamma is not None:
-            stars["gpr_gamma"] = self.horizon_gpr_gamma.t_star
-        return stars
+    # the data window, from the training times every GP of the model holds
+    @property
+    def t1(self) -> float:
+        return float(self.mode_models[0].train_t[0])
+
+    @property
+    def tM(self) -> float:
+        return float(self.mode_models[0].train_t[-1])
+
+    @property
+    def scan_step(self) -> float:
+        """The horizon scans' step, (tM - t1) / M."""
+        return (self.tM - self.t1) / self.mode_models[0].train_t.size
 
     @property
     def t_star(self) -> float:
-        return min(self.t_stars().values())
+        return min(h.t_star for h in self.horizons.values())
 
     def binding_component(self) -> str:
-        stars = self.t_stars()
-        return min(stars, key=stars.get)
+        return min(self.horizons, key=lambda name: self.horizons[name].t_star)
 
     def posterior(self, t_query: float) -> tuple[np.ndarray, ...]:
         """Mode-coefficient means and deviations and the boundary-parameter
@@ -246,7 +248,7 @@ def build(
         filled = s
 
     basis = _pod.truncate(_pod.decompose(filled), thresholds.alpha_pod)
-    horizon_pod = _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)
+    horizons = {"pod": _pod.pod_horizon(basis, t1, tM, thresholds.beta_pod)}
     outputs = basis.coeffs[:, :basis.retained]
     if moving:
         # the modes are 0 off B, where the SVD leaves rounding-level values
@@ -256,31 +258,28 @@ def build(
     split = len(models) - basis.retained  # the boundary GPs come first
     mode_models = models[split:]
     boundary_models = models[:split] if moving else None
-    horizon_gamma = None
+    # the boundary scan runs before the mode scan, and so warns first
+    gamma = {}
     if moving:
-        horizon_gamma = gpr_horizon_boundary(
+        gamma["gpr_gamma"] = gpr_horizon_boundary(
             boundary_models, tM, thresholds.beta_gpr_gamma, scan_step
         )
-    horizon_a = gpr_horizon_modes(
+    horizons["gpr_a"] = gpr_horizon_modes(
         mode_models, basis.eigenvalues, tM, thresholds.beta_gpr_a, scan_step
     )
+    horizons |= gamma
     model = RomModel(
         grid=s.grid,
         mean=filled.mean,
         basis=basis,
         mode_models=mode_models,
         thresholds=thresholds,
-        t1=t1,
-        tM=tM,
-        scan_step=scan_step,
         window_all_fluid=always,
-        horizon_pod=horizon_pod,
-        horizon_gpr_a=horizon_a,
+        horizons=horizons,
         mls_cfg=mls_cfg if mls_cfg is not None else (MlsConfig() if moving else None),
         boundary=s.boundary if moving else None,
         boundary_models=boundary_models,
         boundary_geometry=geometry if moving else None,
-        horizon_gpr_gamma=horizon_gamma,
         field_name=s.field_name,
     )
     if radii is not None:
@@ -527,23 +526,18 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         _save_gp(mm, gdir / f"mode_{k}.json")
     write_matrix(out / "mean.csv", m.mean)
     _write_grid(out / "grid.csv", m.grid)
-    write_matrix(out / "window_all_fluid.csv", m.window_all_fluid.astype(int), fmt="%d")
     meta = {
         "schema_version": SCHEMA_VERSION,
         "field_name": m.field_name,
-        "t1": m.t1,
-        "tM": m.tM,
-        "scan_step": m.scan_step,
         **asdict(m.thresholds),
-        "t_star_pod": m.horizon_pod.t_star,
-        "t_star_gpr_a": m.horizon_gpr_a.t_star,
-        "gpr_a_at_data_end": m.horizon_gpr_a.at_data_end,
-        "gpr_a_capped": m.horizon_gpr_a.capped,
-        "sigma_at_t_star": m.horizon_gpr_a.sigma_weighted,
         "boundary_geometry": (
             m.boundary_geometry if isinstance(m.boundary_geometry, str) else None
         ),
     }
+    for name, h in m.horizons.items():
+        meta[f"t_star_{name}"] = h.t_star
+        meta[f"{name}_at_data_end"] = h.at_data_end
+        meta[f"{name}_capped"] = h.capped
     if m.mls_cfg is not None:
         meta["mls"] = {**asdict(m.mls_cfg), "weight": "wendland_c2"}
     if m.boundary_models is not None:
@@ -552,43 +546,76 @@ def save_rom_model(m: RomModel, out_dir: str | Path) -> None:
         for j, bm in enumerate(m.boundary_models):
             _save_gp(bm, bdir / f"param_{j}.json")
         meta["boundary_names"] = m.boundary.names
-        meta["t_star_gpr_gamma"] = m.horizon_gpr_gamma.t_star
-        meta["t_star_gpr_gamma_per_param"] = list(m.horizon_gpr_gamma.per_param)
-        meta["gpr_gamma_at_data_end"] = m.horizon_gpr_gamma.at_data_end
-        meta["gpr_gamma_capped"] = m.horizon_gpr_gamma.capped
     write_json(out / "model.json", meta)
 
 
-def _from_fields(cls, meta: dict):
-    """``cls`` built from the keys of ``meta`` that name its fields."""
-    return cls(**{f.name: meta[f.name] for f in fields(cls)})
+def _from_fields(cls, meta: dict, prefix: str = ""):
+    """``cls`` built from the keys of ``meta`` that name its fields; a
+    missing key, or a value ``cls`` refuses, is a ValueError that names the
+    key (``prefix`` + field)."""
+    try:
+        return cls(**{f.name: meta[f.name] for f in fields(cls)})
+    except KeyError as exc:
+        raise ValueError(f"missing key {prefix + exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def load_rom_model(in_dir: str | Path) -> RomModel:
-    """Read a directory that ``save_rom_model`` wrote.  A version-1 directory
-    also holds copies of stored values, which are not read: the mode
-    coefficients and the boundary track are the GPs' training outputs."""
+    """Read a directory that ``save_rom_model`` wrote.  Directories of
+    versions 1 and 2 also hold copies of derived values, which are not read:
+    the mode coefficients and the boundary track are the GPs' training
+    outputs, the data window their training times, and B the nodes at
+    least as far out as the largest radius.  A ``model.json`` that is not
+    an object, lacks a key or holds a setting that ``Thresholds``,
+    ``MlsConfig`` or ``Horizon`` refuses is a ValueError naming the file."""
     src = Path(in_dir)
-    meta = _read_json(src / "model.json")
+    path = src / "model.json"
+    meta = _read_json(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: model.json must hold a JSON object")
     version = meta.get("schema_version", 1)  # files from before versioning
-    if version not in (1, SCHEMA_VERSION):
+    if version not in (1, 2, SCHEMA_VERSION):
         raise ValueError(
-            f"{src / 'model.json'}: unknown schema_version {version!r}; "
-            f"this mbrom reads versions 1 and {SCHEMA_VERSION}"
+            f"{path}: unknown schema_version {version!r}; "
+            f"this mbrom reads versions 1 to {SCHEMA_VERSION}"
         )
     geometry = meta.get("boundary_geometry")
     if "boundary_names" in meta and geometry != "radius":
         raise ValueError(
-            f"{src / 'model.json'}: a moving-boundary model needs the 'radius' "
+            f"{path}: a moving-boundary model needs the 'radius' "
             f"boundary geometry rule, and it has {geometry!r}: a forecast "
             "could not find the exposed nodes"
         )
     names = meta.get("boundary_names")
+    criteria = ("pod", "gpr_a") + (("gpr_gamma",) if names is not None else ())
+    try:
+        thresholds = _from_fields(Thresholds, meta)
+        # a flag left out (version 1) is False
+        horizons = {name: _from_fields(Horizon, {
+            "t_star": meta[f"t_star_{name}"],
+            "at_data_end": meta.get(f"{name}_at_data_end", False),
+            "capped": meta.get(f"{name}_capped", False),
+        }, f"{name} horizon: ") for name in criteria}
+        mls_cfg = None
+        if "mls" in meta:
+            if not isinstance(meta["mls"], dict):
+                raise ValueError("key 'mls' must hold a JSON object")
+            weight = meta["mls"].get("weight", "wendland_c2")
+            if weight != "wendland_c2":
+                raise ValueError(
+                    f"unknown MLS weight {weight!r}; the one known weight is "
+                    "'wendland_c2'"
+                )
+            mls_cfg = _from_fields(MlsConfig, meta["mls"], "mls.")
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     modes = _read_matrix(src / "pod" / "modes.csv")
     eigenvalues = _read_matrix(src / "pod" / "eigenvalues.csv").ravel()
     grid = _read_grid(src / "grid.csv")
     mean = _read_matrix(src / "mean.csv").ravel()
-    window_all_fluid = _read_matrix(src / "window_all_fluid.csv").ravel() > 0.5
     R = modes.shape[0]
     gp_files = [f"gpr/mode_{k}.json" for k in range(R)]
     gp_files += [f"boundary/param_{j}.json" for j in range(len(names or ()))]
@@ -598,7 +625,6 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     spectrum = ("pod/eigenvalues.csv", eigenvalues.size, "entries")
     pairs = [
         (("mean.csv", mean.size, "entries"), nodes),
-        (("window_all_fluid.csv", window_all_fluid.size, "entries"), nodes),
         (("pod/modes.csv", modes.shape[1], "columns"), nodes),
     ]
     for f, gp in zip(gp_files, gps):
@@ -606,48 +632,28 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     for (fa, na, ua), (fb, nb, ub) in pairs:
         if na != nb:
             raise ValueError(f"{src}: {fa} holds {na} {ua} and {fb} {nb} {ub}")
+    for f, gp in zip(gp_files[1:], gps[1:]):
+        if not np.array_equal(gp.train_t, gps[0].train_t):
+            raise ValueError(
+                f"{src / f}: training times differ from those of {gp_files[0]}"
+            )
     # the mode coefficients, then the boundary track
     outputs = np.column_stack([gp.train_y for gp in gps])
-    boundary = None
-    horizon_gamma = None
-    if names is not None:
-        boundary = BoundaryTrack(names, outputs[:, R:])
-        horizon_gamma = BoundaryHorizon(
-            t_star=meta["t_star_gpr_gamma"],
-            per_param=tuple(meta["t_star_gpr_gamma_per_param"]),
-            at_data_end=meta.get("gpr_gamma_at_data_end", False),
-            capped=meta.get("gpr_gamma_capped", False),
-        )
-    mls_cfg = None
-    if "mls" in meta:
-        weight = meta["mls"].get("weight", "wendland_c2")
-        if weight != "wendland_c2":
-            raise ValueError(
-                f"{src / 'model.json'}: unknown MLS weight {weight!r}; "
-                "the one known weight is 'wendland_c2'"
-            )
-        mls_cfg = _from_fields(MlsConfig, meta["mls"])
-    return RomModel(
+    model = RomModel(
         grid=grid,
         mean=mean,
         basis=PodBasis(eigenvalues, modes, R, outputs[:, :R]),
         mode_models=gps[:R],
-        thresholds=_from_fields(Thresholds, meta),
-        t1=meta["t1"],
-        tM=meta["tM"],
-        scan_step=meta["scan_step"],
-        window_all_fluid=window_all_fluid,
-        horizon_pod=PodHorizon(t_star=meta["t_star_pod"]),
-        horizon_gpr_a=GprHorizon(
-            t_star=meta["t_star_gpr_a"],
-            sigma_weighted=meta["sigma_at_t_star"],
-            at_data_end=meta.get("gpr_a_at_data_end", False),
-            capped=meta.get("gpr_a_capped", False),
-        ),
+        thresholds=thresholds,
+        window_all_fluid=np.ones(grid.n_nodes, dtype=bool),
+        horizons=horizons,
         mls_cfg=mls_cfg,
-        boundary=boundary,
+        boundary=BoundaryTrack(names, outputs[:, R:]) if names is not None else None,
         boundary_models=gps[R:] if names is not None else None,
         boundary_geometry=geometry,
-        horizon_gpr_gamma=horizon_gamma,
         field_name=meta.get("field_name", "u"),
     )
+    if names is not None:
+        # the radius rule: B holds the nodes fluid at the largest radius
+        model.window_all_fluid = model.node_radii >= outputs[:, R].max()
+    return model

@@ -22,13 +22,11 @@ from scipy.optimize import minimize, minimize_scalar
 from mbrom.gpr import (
     JITTER0,
     LOG_BOUNDS,
-    BoundaryHorizon,
-    GprHorizon,
     GprModel,
+    Horizon,
     Kernel,
     kernel_matrix,
     nlml,
-    weighted_sigma,
 )
 
 
@@ -137,7 +135,7 @@ def gpr_horizon_modes(
     beta: float,
     scan_step: float,
     max_steps: int = 1000,
-) -> GprHorizon:
+) -> Horizon:
     """Largest grid time where the weighted sigma/|mu| ratio stays <= beta.
 
     The ratio weights each mode's posterior deviation and |mean| by its
@@ -165,10 +163,10 @@ def gpr_horizon_modes(
                     "no extrapolation permitted",
                     stacklevel=2,
                 )
-                return GprHorizon(tM, weighted_sigma(models, lam, tM), at_data_end=True)
-            return GprHorizon(t_star, weighted_sigma(models, lam, t_star))
+                return Horizon(tM, at_data_end=True)
+            return Horizon(t_star)
         t_star = tq
-    return GprHorizon(t_star, weighted_sigma(models, lam, t_star), capped=True)
+    return Horizon(t_star, capped=True)
 
 
 def gpr_horizon_boundary(
@@ -177,39 +175,29 @@ def gpr_horizon_boundary(
     beta: float,
     scan_step: float,
     max_steps: int = 1000,
-) -> BoundaryHorizon:
-    """Per-parameter sigma/|mu| horizon; the overall bound is the minimum."""
+) -> Horizon:
+    """Per-parameter sigma/|mu| horizon; the overall bound is the minimum,
+    and the flags are those of the parameter that binds: at the data end
+    when it stops at the first step, capped when it reaches the step cap."""
     if scan_step <= 0:
         raise ValueError("scan_step must be positive")
-    stars = []
-    any_end = False
-    any_cap = False
+    steps = []
     for m in track_models:
-        t_star = tM
-        capped = True
+        last = max_steps
         for n in range(1, max_steps + 1):
-            tq = tM + n * scan_step
-            mu, sg = m.predict(tq)
+            mu, sg = m.predict(tM + n * scan_step)
             if abs(mu[0]) < 1e-12 or sg[0] / abs(mu[0]) > beta:
-                capped = False
-                if n == 1:
-                    any_end = True
+                last = n - 1
                 break
-            t_star = tq
-        any_cap |= capped
-        stars.append(t_star)
-    if any_end:
+        steps.append(last)
+    last = min(steps)
+    if last == 0:
         warnings.warn(
             "a boundary-parameter criterion is violated at the first scan "
             "step; no extrapolation permitted",
             stacklevel=2,
         )
-    return BoundaryHorizon(
-        t_star=float(min(stars)),
-        per_param=tuple(stars),
-        at_data_end=any_end,
-        capped=any_cap,
-    )
+    return Horizon(tM + last * scan_step, at_data_end=last == 0, capped=last == max_steps)
 
 
 _LOG2PI = float(np.log(2.0 * np.pi))

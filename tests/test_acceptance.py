@@ -283,10 +283,8 @@ def test_criterion_6_horizon_criteria(burgers_sets, bubble_run):
 
     # composed horizon equals the component minimum exactly
     model = bubble_run[2]
-    composed = model.t_star == min(
-        model.horizon_pod.t_star,
-        model.horizon_gpr_a.t_star,
-        model.horizon_gpr_gamma.t_star,
+    composed = list(model.horizons) == ["pod", "gpr_a", "gpr_gamma"] and (
+        model.t_star == min(h.t_star for h in model.horizons.values())
     )
     ok = arith_gap <= 1e-12 and mono_modes and mono_bound and composed
     report(

@@ -552,7 +552,9 @@ class TestModelFile:
         for name in ("summary.json", "field.csv", "correction_report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("key", ["beta_pod", "beta_gpr_gamma", "mls.max_growths"])
+    @pytest.mark.parametrize(
+        "key", ["beta_pod", "beta_gpr_gamma", "t_star_gpr_a", "mls.max_growths"]
+    )
     def test_missing_key_exits_1(self, bubble_model, tmp_path, capsys, key):
         *block, name = key.split(".")
 
@@ -562,11 +564,72 @@ class TestModelFile:
 
         model = self.edited_model(bubble_model, tmp_path, edit)
         assert self.forecast(model, tmp_path / "fc") == 1
-        assert capsys.readouterr().err.strip() == f"error: '{name}'"
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fc").exists()
+        assert captured.err.strip() == f"error: {model / 'model.json'}: missing key {key!r}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta_gpr_a", float("nan"), "beta_gpr_a must lie in (0, inf), got nan"),
+        ("beta_pod", "0.3", "beta_pod must lie in (0, 1), got '0.3'"),
+        ("mls.kernel_len", float("nan"), "mls.kernel_len must be finite, got nan"),
+        ("mls.order", -1, "mls.order must be >= 0"),
+        ("t_star_gpr_a", "73.5", "gpr_a horizon: t_star must be a number, not '73.5'"),
+        ("gpr_gamma_capped", 1, "gpr_gamma horizon: capped must be true or false, not 1"),
+        ("mls", [], "key 'mls' must hold a JSON object"),
+    ], ids=["nan-threshold", "string-threshold", "nan-kernel-len", "negative-order", "string-t-star",
+            "number-flag", "mls-list"])
+    def test_refused_setting_names_file_and_key(
+        self, bubble_model, tmp_path, capsys, key, value, message
+    ):
+        *block, name = key.split(".")
+
+        def edit(meta):
+            owner = meta[block[0]] if block else meta
+            owner[name] = value
+
+        model = self.edited_model(bubble_model, tmp_path, edit)
+        for command, args in (("horizon", []), ("forecast", ["--t", "64", "--force"])):
+            out = tmp_path / command
+            assert main([command, str(model), *args, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.strip() == f"error: {model / 'model.json'}: {message}"
+
+    @pytest.mark.parametrize("command", ["horizon", "forecast"])
+    def test_model_file_that_is_not_an_object_exits_1(
+        self, bubble_model, tmp_path, capsys, command
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(bubble_model, model)
+        (model / "model.json").write_text("[]\n")
+        out = tmp_path / "out"
+        args = ["--t", "64", "--force"] if command == "forecast" else []
+        assert main([command, str(model), *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.strip() == (
+            f"error: {model / 'model.json'}: model.json must hold a JSON object"
+        )
+
+    @pytest.mark.parametrize("name", ["gpr/mode_1.json", "boundary/param_0.json"])
+    def test_gp_file_with_other_training_times_exits_1(
+        self, bubble_model, tmp_path, capsys, name
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(bubble_model, model)
+        path = model / name
+        gp = json.loads(path.read_text())
+        gp["train_t"][-1] += 1.0
+        path.write_text(json.dumps(gp))
+        assert self.forecast(model, tmp_path / "fc") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fc").exists()
+        assert captured.err.strip() == (
+            f"error: {path}: training times differ from those of gpr/mode_0.json"
+        )
 
     @pytest.mark.parametrize("name", [
-        "mean.csv", "window_all_fluid.csv", "pod/modes.csv", "pod/eigenvalues.csv",
-        "gpr/mode_1.json",
+        "mean.csv", "pod/modes.csv", "pod/eigenvalues.csv", "gpr/mode_1.json",
     ])
     def test_file_of_the_wrong_size_exits_1(self, bubble_model, tmp_path, capsys, name):
         model = tmp_path / "model"

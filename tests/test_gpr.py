@@ -362,10 +362,17 @@ class TestHorizonBoundary:
         # mean 1, deviation ~1e-5 at its training times 1.0..1.3 and ~1 from
         # 1.4 on: the ramp violates after 3 steps
         ramp = GprModel(Kernel(1.0, 100.0), 0.0, [1.0, 1.1, 1.2, 1.3], np.ones(4))
-        h = gpr_horizon_boundary([quiet, ramp], tM=1.0, beta=0.1,
-                                 scan_step=0.1, max_steps=50)
-        assert h.t_star == pytest.approx(1.3)
-        assert h.per_param[0] > h.per_param[1]
+        for gps in ([quiet, ramp], [ramp, quiet]):
+            h = gpr_horizon_boundary(gps, tM=1.0, beta=0.1, scan_step=0.1,
+                                     max_steps=50)
+            # the flags are the binding parameter's: the ramp stops at step 3,
+            # neither at the data end nor at the cap that the quiet one reaches
+            assert h.t_star == pytest.approx(1.3)
+            assert not h.capped and not h.at_data_end
+            solo = [gpr_horizon_boundary([gp], tM=1.0, beta=0.1, scan_step=0.1,
+                                         max_steps=50) for gp in gps]
+            assert h.t_star == min(s.t_star for s in solo)
+            assert sorted(s.capped for s in solo) == [False, True]
 
     def test_zero_mean_counts_as_violation(self):
         zero = _fixed_posterior(0.0, 0.001)

@@ -360,8 +360,7 @@ class TestHorizonScanOracle:
             sigs = np.array([gp.predict(t)[1][0] for gp in m.mode_models])
             return float((lam[:R] * sigs).sum() / lam.sum())
 
-        t_a = m.horizon_gpr_a.t_star
-        assert m.horizon_gpr_a.sigma_weighted == per_gp(t_a)
+        t_a = m.horizons["gpr_a"].t_star
         for t in (m.tM, t_a, m.tM + 2.5 * m.scan_step, m.t_star + 1.0):
             assert weighted_sigma(m.mode_models, lam, t) == per_gp(t)
             with warnings.catch_warnings():
@@ -371,12 +370,12 @@ class TestHorizonScanOracle:
     def test_built_horizons_equal_scalar_scans(self, models):
         for name in ("burgers-re500", "cavity-nr270", "disk"):
             m = models(name)
-            assert m.horizon_gpr_a == oracle.gpr_horizon_modes(
+            assert m.horizons["gpr_a"] == oracle.gpr_horizon_modes(
                 m.mode_models, m.basis.eigenvalues, m.tM,
                 m.thresholds.beta_gpr_a, m.scan_step,
             )
             if m.boundary_models:
-                assert m.horizon_gpr_gamma == oracle.gpr_horizon_boundary(
+                assert m.horizons["gpr_gamma"] == oracle.gpr_horizon_boundary(
                     m.boundary_models, m.tM, m.thresholds.beta_gpr_gamma,
                     m.scan_step,
                 )

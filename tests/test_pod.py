@@ -281,7 +281,7 @@ class TestPodHorizon:
         expected = 0.5 + 0.2 * 0.3 * (np.log(10.0) - np.log(0.1)) / 2
         assert h.t_star == pytest.approx(expected, abs=1e-12)
         assert h.t_star == pytest.approx(0.6381551055796427, abs=1e-12)
-        assert not h.unbounded
+        assert not np.isinf(h.t_star) and not h.at_data_end and not h.capped
 
     def test_beta_to_zero(self):
         b = self.basis_with([100.0, 10.0, 1.0, 0.1, 0.01], retained=2)
@@ -302,12 +302,12 @@ class TestPodHorizon:
         b = self.basis_with([10.0, 1.0, 0.1], retained=2)
         with pytest.warns(UserWarning, match="no forecast bound"):
             h = pod_horizon(b, 0.0, 1.0, 0.3)
-        assert h.unbounded and np.isinf(h.t_star)
+        assert np.isinf(h.t_star)
 
     def test_roundoff_tail_unbounded(self):
         b = self.basis_with([10.0, 1.0, 0.1, 1e-16], retained=2)
         with pytest.warns(UserWarning):
-            assert pod_horizon(b, 0.0, 1.0, 0.3).unbounded
+            assert np.isinf(pod_horizon(b, 0.0, 1.0, 0.3).t_star)
 
 
 class TestSpectrumFixture:

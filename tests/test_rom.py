@@ -24,6 +24,7 @@ from mbrom.benchmarks import (
     burgers_exact,
     burgers_snapshots,
 )
+from mbrom.cli import _horizons as cli_horizons
 from mbrom.data import (
     BoundaryTrack,
     DomainMask,
@@ -31,6 +32,7 @@ from mbrom.data import (
     SpatialGrid,
     load_snapshots,
     save_dataset,
+    write_json,
 )
 from mbrom.gpr import GprStack
 from mbrom.pod import reconstruct
@@ -73,7 +75,7 @@ class TestBuild:
     def test_fixed_domain_has_no_boundary_models(self, burgers_model):
         _, _, m = burgers_model
         assert m.boundary_models is None
-        assert m.horizon_gpr_gamma is None
+        assert list(m.horizons) == ["pod", "gpr_a"]
         assert m.mls_cfg is None
 
     def test_moving_boundary_requires_track(self):
@@ -185,7 +187,7 @@ class TestForecastFixedDomain:
 
     def test_horizon_is_component_minimum(self, burgers_model):
         _, _, m = burgers_model
-        assert m.t_star == min(m.horizon_pod.t_star, m.horizon_gpr_a.t_star)
+        assert m.t_star == min(m.horizons["pod"].t_star, m.horizons["gpr_a"].t_star)
 
     def test_query_before_start_rejected(self, burgers_model):
         _, _, m = burgers_model
@@ -211,11 +213,8 @@ class TestForecastFixedDomain:
 class TestForecastMovingBoundary:
     def test_horizon_includes_boundary_component(self, bubble_model):
         _, _, m = bubble_model
-        assert m.t_star == min(
-            m.horizon_pod.t_star,
-            m.horizon_gpr_a.t_star,
-            m.horizon_gpr_gamma.t_star,
-        )
+        assert list(m.horizons) == ["pod", "gpr_a", "gpr_gamma"]
+        assert m.t_star == min(h.t_star for h in m.horizons.values())
 
     def test_corrected_annulus(self, bubble_model):
         cfg, s, m = bubble_model
@@ -573,11 +572,11 @@ class TestSerialization:
 
     def test_horizon_flags_and_weight_round_trip(self, tmp_path, bubble_model):
         _, _, m = bubble_model
-        assert m.horizon_gpr_gamma.capped  # the radius GP stays certain to the cap
+        assert m.horizons["gpr_gamma"].capped  # the radius GP stays certain to the cap
         save_rom_model(m, tmp_path / "model")
         m2 = load_rom_model(tmp_path / "model")
-        assert m2.horizon_gpr_a == m.horizon_gpr_a
-        assert m2.horizon_gpr_gamma == m.horizon_gpr_gamma
+        assert m2.horizons == m.horizons
+        assert list(m2.horizons) == list(m.horizons)
         assert m2.mls_cfg == m.mls_cfg
 
     def test_schema_version_and_byte_identical_resave(self, tmp_path, bubble_model):
@@ -585,7 +584,7 @@ class TestSerialization:
         save_rom_model(m, tmp_path / "a")
         assert json.loads((tmp_path / "a" / "model.json").read_text())[
             "schema_version"
-        ] == 2
+        ] == 3
         save_rom_model(load_rom_model(tmp_path / "a"), tmp_path / "b")
         files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*"))
         assert files == sorted(
@@ -635,23 +634,30 @@ class TestSerialization:
         )
 
     @pytest.mark.parametrize("name", ["cavity", "burgers"])
-    def test_version_1_directory_loads_and_resaves_as_version_2(self, tmp_path, name):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_directory_loads_and_resaves_as_version_3(self, tmp_path, version, name):
         # `mbrom build` of `mbrom gen bubble --nr 60` and of `mbrom gen
-        # burgers --nx 51`, saved in schema version 1 with its copy files
-        v1 = Path(__file__).parent / "data" / "model_v1" / name
-        assert json.loads((v1 / "model.json").read_text())["schema_version"] == 1
-        assert (v1 / "pod" / "coeffs.csv").is_file() and (v1 / "pod" / "pod.json").is_file()
+        # burgers --nx 51`, saved in schema version 1 or 2 with the files and
+        # keys version 3 derives (version 1 holds more copies)
+        old_dir = Path(__file__).parent / "data" / f"model_v{version}" / name
+        meta = json.loads((old_dir / "model.json").read_text())
+        assert meta["schema_version"] == version
+        assert {"t1", "tM", "scan_step", "sigma_at_t_star"} <= set(meta)
+        assert (old_dir / "window_all_fluid.csv").is_file()
+        assert (old_dir / "pod" / "coeffs.csv").is_file() == (version == 1)
         if name == "cavity":
             s, _ = bubble_snapshots(BubbleConfig(nr=60), 51.0, 60.0, 10)
             times = (55.5, 60.0, 64.0)
         else:
             s = burgers_snapshots(BurgersConfig(nx=51), 0.3, 0.5, 20)
             times = (0.45, 0.55, 0.6)
-        old, new = load_rom_model(v1), build(s)
-        assert old.t_stars() == new.t_stars()
+        old, new = load_rom_model(old_dir), build(s)
+        assert write_json(None, cli_horizons(old)) == write_json(None, cli_horizons(new))
+        assert (old.t1, old.tM, old.scan_step) == (new.t1, new.tM, new.scan_step)
+        np.testing.assert_array_equal(old.window_all_fluid, new.window_all_fluid, strict=True)
         for t in times:
             a, b = forecast(old, t, force=True), forecast(new, t, force=True)
-            np.testing.assert_array_equal(a.field, b.field)
+            assert a.field.tobytes() == b.field.tobytes()
             np.testing.assert_array_equal(a.corrected_nodes, b.corrected_nodes)
             assert (a.sigma_weighted, a.eps_pod_tail, a.eps_mls, a.boundary_values) == (
                 b.sigma_weighted, b.eps_pod_tail, b.eps_mls, b.boundary_values
@@ -666,13 +672,13 @@ class TestSerialization:
             }
 
         assert tree(tmp_path / "old") == tree(tmp_path / "new")
+        assert json.loads(tree(tmp_path / "new")["model.json"])["schema_version"] == 3
         R = new.basis.retained
-        v2 = {"model.json", "grid.csv", "mean.csv", "window_all_fluid.csv",
-              "pod/eigenvalues.csv", "pod/modes.csv"}
-        v2 |= {f"gpr/mode_{k}.json" for k in range(R)}
+        v3 = {"model.json", "grid.csv", "mean.csv", "pod/eigenvalues.csv", "pod/modes.csv"}
+        v3 |= {f"gpr/mode_{k}.json" for k in range(R)}
         if name == "cavity":
-            v2.add("boundary/param_0.json")
-        assert sorted(tree(tmp_path / "new")) == sorted(v2)
+            v3.add("boundary/param_0.json")
+        assert sorted(tree(tmp_path / "new")) == sorted(v3)
 
     def test_callable_geometry_refused(self, tmp_path):
         s, _ = bubble_snapshots(BubbleConfig(nr=120), 51.0, 60.0, 10)
@@ -695,11 +701,11 @@ class TestSerialization:
         save_rom_model(m, tmp_path / "model")
         path = tmp_path / "model" / "model.json"
         meta = json.loads(path.read_text())
-        meta["schema_version"] = 3
+        meta["schema_version"] = 4
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError) as exc:
             load_rom_model(tmp_path / "model")
-        assert str(path) in str(exc.value) and "schema_version 3" in str(exc.value)
+        assert str(path) in str(exc.value) and "schema_version 4" in str(exc.value)
 
     def test_unknown_weight_rejected(self, tmp_path, bubble_model):
         _, _, m = bubble_model
