@@ -15,13 +15,17 @@ node j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
 stencil (the trusted nodes strictly inside its radius h_j) and
 a_j = W P M^-1 e_0 are its shape functions.  S_j, h_j and a_j depend on
 the grid, the configuration and the trusted set, not on the field or the
-query time.  A ``StencilCache`` keeps them for one trusted set
-(``fluid_now & window_all_fluid`` in a forecast) and fits each node the
-first time it is exposed; a different trusted set replaces the contents.
-Each RomModel owns one cache, which is not saved with the model, so a
-process that loads a model for a single forecast (``mbrom forecast``) always
-starts cold.  Cold and warm caches give the same bits: every sum over a
-stencil runs over that stencil alone.
+query time.  A forecast's field is mean + c @ modes, so v_j is the node's
+fitted mean plus c @ its fitted modes: K + 1 numbers per node that depend
+on no more than a_j does.  A ``StencilCache`` keeps them for one trusted
+set (``fluid_now & window_all_fluid`` in a forecast) and one mean and
+modes, and fits each node the first time it is exposed; another trusted
+set, mean or modes replaces the contents.  Each RomModel owns one cache,
+which is not saved with the model, so a process that loads a model for a
+single forecast (``mbrom forecast``) always starts cold.  Cold and warm
+caches give the same bits: every sum over a stencil runs over that
+stencil alone, and the K + 1 numbers of a node do not depend on the
+batch it was fitted in.
 
 The Lebesgue constant Lambda_j = sum |a_j| bounds how much the fit can
 amplify errors in the trusted values.  It is reported per corrected node
@@ -306,30 +310,40 @@ class CorrectionReport:
     """Per-node record of what the correction step did.
 
     ``rows`` are (node, h, before, after); ``lebesgue`` holds each corrected
-    node's Lebesgue constant sum |a_j|, in the order of ``rows``.
+    node's Lebesgue constant sum |a_j|, and ``nodes`` the corrected nodes as
+    an array, both in the order of ``rows``.  A report made from ``rows``
+    alone takes ``nodes`` from them.
     """
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
     uncorrected: list[int] = field(default_factory=list)
     lebesgue: list[float] = field(default_factory=list)
+    nodes: np.ndarray | None = None
 
-    def corrected_nodes(self) -> np.ndarray:
-        return np.array([r[0] for r in self.rows], dtype=int)
+    def __post_init__(self):
+        if self.nodes is None:
+            self.nodes = np.array([r[0] for r in self.rows], dtype=int)
 
 
 class StencilCache:
-    """MLS stencils over one trusted-node set, fitted node by node on first use.
+    """Fitted values of a field's mean and modes over one trusted-node set,
+    fitted node by node on first use.
 
     For each node a correction has asked about, the cache holds its support
     radius h (inf: no rung of the ladder holds enough trusted nodes), its
-    stencil (the trusted nodes strictly inside h, nearest first, distance
-    ties to the lower index), the stencil's shape functions and their
-    Lebesgue constant.  None of these depends on the field, so later
-    corrections over the same trusted set reuse them and only apply the
-    shape functions.  Another trusted set, grid or configuration replaces
-    the contents.  Each RomModel owns one (``mls_cache``), which is not saved
-    with the model.  Corrections write to the cache without a lock, so one
-    cache (one model) must not serve several threads at once.
+    Lebesgue constant, and in ``rows`` the fit's value at the node of the
+    mean and of each of the K modes (K + 1 numbers; K = 0 for a lone field).
+    They come from the node's stencil (the trusted nodes strictly inside h,
+    nearest first, distance ties to the lower index) and its shape
+    functions, which are used once, when the node is fitted, and not kept.
+    None of this depends on the coefficients, so a later correction over
+    the same trusted set only combines each node's row with them.  Another
+    trusted set, grid, configuration, mean or modes replaces the contents;
+    the mean and the modes are told apart by identity, so an array changed
+    in place between corrections leaves stale rows.  Each RomModel owns one
+    (``mls_cache``), which is not saved with the model.  Corrections write
+    to the cache without a lock, so one cache (one model) must not serve
+    several threads at once.
     """
 
     def __init__(self) -> None:
@@ -341,13 +355,21 @@ class StencilCache:
         history: np.ndarray,
         grid: SpatialGrid,
         cfg: MlsConfig,
+        mean: np.ndarray,
+        modes: np.ndarray | None,
     ) -> None:
-        """Make sure every node of ``exposed`` has an entry for ``history``."""
+        """Make sure every node of ``exposed`` has an entry for ``history``
+        and the field terms ``mean`` and ``modes``."""
         key = self._key
-        if key is None or key[0] is not grid or key[1] != cfg or not np.array_equal(
-            key[2], history
+        if (
+            key is None
+            or key[0] is not grid
+            or key[1] != cfg
+            or key[3] is not mean
+            or key[4] is not modes
+            or not np.array_equal(key[2], history)
         ):
-            self._reset(history, grid, cfg)
+            self._reset(history, grid, cfg, mean, modes)
         new = exposed[np.isnan(self.h[exposed])]
         if new.size == 0:
             return
@@ -373,14 +395,23 @@ class StencilCache:
         offsets = (self.hist_pts[sel] - np.repeat(xp, counts, axis=0)) / hk[:, None]
         shape = _shape_functions(offsets, wendland_c2(d / hk), counts, cfg.order)
         first = np.cumsum(counts) - counts
-        self.start[nodes] = self.shape.size + first
-        self.count[nodes] = counts
         self.lebesgue[nodes] = np.add.reduceat(np.abs(shape), first)
-        self.stencil = np.concatenate([self.stencil, self.hist_idx[sel]])
-        self.shape = np.concatenate([self.shape, shape])
+        stencil = self.hist_idx[sel]
+        # one 1-D reduction per term: numpy's reduceat along the rows of a
+        # 2-D array is about 5x slower
+        self.rows[nodes] = np.column_stack(
+            [np.add.reduceat(f[stencil] * shape, first) for f in self.terms]
+        )
 
-    def _reset(self, history: np.ndarray, grid: SpatialGrid, cfg: MlsConfig) -> None:
-        self._key = (grid, cfg, history.copy())
+    def _reset(
+        self,
+        history: np.ndarray,
+        grid: SpatialGrid,
+        cfg: MlsConfig,
+        mean: np.ndarray,
+        modes: np.ndarray | None,
+    ) -> None:
+        self._key = (grid, cfg, history.copy(), mean, modes)
         h0 = cfg.kernel_len if cfg.kernel_len is not None else 3.0 * grid.spacing()
         ladder = [h0]
         for _ in range(cfg.max_growths):
@@ -390,19 +421,31 @@ class StencilCache:
         self.hist_pts = grid.coords[self.hist_idx]
         enough = self.hist_idx.size >= cfg.required_neighbors(grid.dim)
         self.tree = _tree(self.hist_pts) if enough else None
+        self.terms = [np.asarray(mean, dtype=float), *(() if modes is None else modes)]
         self.h = np.full(grid.n_nodes, np.nan)  # nan: not looked at yet
-        self.start = np.zeros(grid.n_nodes, dtype=int)
-        self.count = np.zeros(grid.n_nodes, dtype=int)
         self.lebesgue = np.full(grid.n_nodes, np.nan)
-        self.stencil = np.empty(0, dtype=int)
-        self.shape = np.empty(0)
+        self.rows = np.zeros((grid.n_nodes, len(self.terms)))
 
-    def values(self, nodes: np.ndarray, field_values: np.ndarray) -> np.ndarray:
-        """Fitted values a_j . f[S_j] at ``nodes``, which must have stencils."""
-        counts = self.count[nodes]
-        first = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) + np.repeat(self.start[nodes] - first, counts)
-        return np.add.reduceat(self.shape[pos] * field_values[self.stencil[pos]], first)
+
+def _node_indices(exposed, n_nodes: int) -> np.ndarray:
+    """``exposed`` (indices, or a boolean mask over the nodes) as indices;
+    a mask of another length or an index outside [0, n_nodes) is a
+    ValueError."""
+    exposed = np.asarray(exposed)
+    if exposed.dtype == bool:
+        if exposed.size != n_nodes:
+            raise ValueError(
+                f"exposed mask has {exposed.size} entries for {n_nodes} nodes"
+            )
+        return np.flatnonzero(exposed)
+    exposed = exposed.astype(int).ravel()
+    outside = (exposed < 0) | (exposed >= n_nodes)
+    if outside.any():
+        raise ValueError(
+            f"exposed node {exposed[outside][0]} is not a node index: the grid "
+            f"has nodes 0 to {n_nodes - 1}"
+        )
+    return exposed
 
 
 def correct_field(
@@ -412,56 +455,62 @@ def correct_field(
     grid: SpatialGrid,
     cfg: MlsConfig,
     cache: StencilCache | None = None,
+    expansion: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, CorrectionReport]:
     """Replace values at newly exposed nodes by MLS fits over trusted nodes.
 
-    ``exposed`` holds indices (or a boolean mask) of nodes whose values the
-    snapshots did not supply; ``fluid_history`` flags nodes that carried real
-    data throughout the window and remain in the fluid at the query time.
-    Support radii come from the ladder h0, 1.5 h0, 1.5^2 h0, ...
+    ``exposed`` holds indices (or a boolean mask over the grid) of nodes
+    whose values the snapshots did not supply; ``fluid_history`` flags nodes
+    that carried real data throughout the window and remain in the fluid at
+    the query time.  A mask of another length, an index outside the grid and
+    an exposed node that is also trusted are refused before ``cache`` is
+    used.  Support radii come from the ladder h0, 1.5 h0, 1.5^2 h0, ...
     (``max_growths`` steps; h0 is the configured kernel length, default 3x
     grid spacing): each node takes the first rung strictly beyond its
     distance to its ``required_neighbors``-th nearest trusted node, and fits
     over the trusted nodes inside that radius.  Nodes beyond the last rung
     are left untouched and reported.
 
-    The fit is applied through its shape functions, kept in ``cache`` (a
-    fresh one when not given) for the next call over the same trusted set.
-    One warning per call names the corrected nodes whose Lebesgue constant
-    exceeds ``LEBESGUE_WARN``.
+    ``expansion`` = (mean, modes, coeffs) says that ``field_values`` is
+    mean + coeffs @ modes, as ``pod.reconstruct`` makes it.
+    The fit is linear in the field, so a node's corrected value is its row
+    of fitted mean and modes (``StencilCache.rows``, kept in ``cache``, a
+    fresh one when not given) times (1, coeffs).  Without it the field is
+    its own mean with no modes: the rows hold one fitted value each.  Every
+    other node keeps the bits of ``field_values``.  One warning per call
+    names the corrected nodes whose Lebesgue constant exceeds
+    ``LEBESGUE_WARN``.
     """
     field_values = np.asarray(field_values, dtype=float)
     fluid_history = np.asarray(fluid_history, dtype=bool).ravel()
-    exposed = np.asarray(exposed)
-    if exposed.dtype == bool:
-        exposed = np.flatnonzero(exposed)
-    exposed = exposed.astype(int).ravel()
     if fluid_history.shape[0] != grid.n_nodes:
         raise ValueError("fluid_history length does not match grid")
+    exposed = _node_indices(exposed, grid.n_nodes)
     if np.any(fluid_history[exposed]):
         raise ValueError("exposed set overlaps fluid-history set")
 
     corrected = field_values.copy()
-    report = CorrectionReport()
     if exposed.size == 0:
-        return corrected, report
+        return corrected, CorrectionReport()
 
+    mean, modes, coeffs = expansion if expansion is not None else (field_values, None, ())
     cache = StencilCache() if cache is None else cache
-    cache.update(exposed, fluid_history, grid, cfg)
+    cache.update(exposed, fluid_history, grid, cfg, mean, modes)
     h = cache.h[exposed]
     fit = np.isfinite(h)
-    report.uncorrected = exposed[~fit].tolist()
-    if not fit.any():
-        return corrected, report
-
     nodes = exposed[fit]
-    new_vals = cache.values(nodes, field_values)
+    weights = np.concatenate([[1.0], coeffs])
+    new_vals = cache.rows[nodes] @ weights
     lebesgue = cache.lebesgue[nodes]
-    report.rows = list(
-        zip(nodes.tolist(), h[fit].tolist(), field_values[nodes].tolist(), new_vals.tolist())
-    )
-    report.lebesgue = lebesgue.tolist()
     corrected[nodes] = new_vals
+    report = CorrectionReport(
+        rows=list(zip(
+            nodes.tolist(), h[fit].tolist(), field_values[nodes].tolist(), new_vals.tolist()
+        )),
+        uncorrected=exposed[~fit].tolist(),
+        lebesgue=lebesgue.tolist(),
+        nodes=nodes,
+    )
     high = lebesgue > LEBESGUE_WARN
     if high.any():
         worst = int(np.argmax(lebesgue))

@@ -176,6 +176,15 @@ class RomModel:
 
 @dataclass
 class RomForecast:
+    """A forecast's field and its reported terms.
+
+    ``eps_mls`` is the grid-L2 norm of the applied correction, corrected
+    minus reconstructed values over ``corrected_nodes``.  The mean and the
+    modes are 0 off B, so the reconstructed values there are 0 and
+    ``eps_mls`` is the norm of the corrected values themselves, not an
+    error estimate.
+    """
+
     t_query: float
     field: np.ndarray
     sigma_weighted: float
@@ -340,11 +349,12 @@ def forecast(m: RomModel, t_query: float, force: bool = False) -> RomForecast:
             m.grid,
             m.mls_cfg if m.mls_cfg is not None else MlsConfig(),
             m.mls_cache,
+            (m.mean, m.basis.modes, coeffs),
         )
-        corrected_nodes = report.corrected_nodes()
-        # correct_field returns a new array, changed only at corrected nodes
-        delta = field_values - before
-        eps_mls = float(np.sqrt(inner_product(delta, delta, m.grid)))
+        corrected_nodes = report.nodes
+        # the correction changes the corrected nodes alone
+        delta = field_values[corrected_nodes] - before[corrected_nodes]
+        eps_mls = float(np.sqrt(np.sum(delta * delta * m.grid.quad_weights[corrected_nodes])))
 
     return RomForecast(
         t_query=t_query,
@@ -575,7 +585,8 @@ def load_rom_model(in_dir: str | Path) -> RomModel:
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: model.json must hold a JSON object")
     version = meta.get("schema_version", 1)  # files from before versioning
-    if version not in (1, 2, SCHEMA_VERSION):
+    # True == 1 and 3.0 == 3 in Python: only an int names a version
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise ValueError(
             f"{path}: unknown schema_version {version!r}; "
             f"this mbrom reads versions 1 to {SCHEMA_VERSION}"

@@ -595,6 +595,24 @@ class TestModelFile:
             assert captured.out == "" and not out.exists()
             assert captured.err.strip() == f"error: {model / 'model.json'}: {message}"
 
+    @pytest.mark.parametrize("version", [True, 3.0, "3"], ids=["bool", "float", "string"])
+    def test_schema_version_that_is_not_an_int_exits_1(
+        self, bubble_model, tmp_path, capsys, version
+    ):
+        # True == 1 and 3.0 == 3 in Python, and neither names a version
+        model = self.edited_model(
+            bubble_model, tmp_path, lambda meta: meta.update(schema_version=version)
+        )
+        for command, args in (("horizon", []), ("forecast", ["--t", "64", "--force"])):
+            out = tmp_path / command
+            assert main([command, str(model), *args, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.strip() == (
+                f"error: {model / 'model.json'}: unknown schema_version {version!r}; "
+                "this mbrom reads versions 1 to 3"
+            )
+
     @pytest.mark.parametrize("command", ["horizon", "forecast"])
     def test_model_file_that_is_not_an_object_exits_1(
         self, bubble_model, tmp_path, capsys, command

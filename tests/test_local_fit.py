@@ -3,6 +3,8 @@ definition (``local_fit_oracles``), plus polynomial reproduction on random
 2D scatter, the cached shape functions of the correction, and the stencil
 search (``_kth_d2``, ``_balls``) against a brute-force scan."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,16 @@ from scipy.spatial import cKDTree
 import mbrom.mls
 from local_fit_oracles import batched_correct_oracle, correct_oracle
 from mbrom.data import SpatialGrid
-from mbrom.mls import _PAD, MlsConfig, StencilCache, _balls, _kth_d2, _tree, correct_field
+from mbrom.mls import (
+    _PAD,
+    MlsConfig,
+    StencilCache,
+    _balls,
+    _kth_d2,
+    _poly_terms,
+    _tree,
+    correct_field,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -77,7 +88,7 @@ class TestCorrectionOracle:
         poly = random_poly(rng, order)(grid.coords)
         field = np.where(history, poly, 0.0)
         out, report = correct_field(field, exposed, history, grid, MlsConfig(order=order))
-        nodes = report.corrected_nodes()
+        nodes = report.nodes
         np.testing.assert_allclose(out[nodes], poly[nodes], rtol=0,
                                    atol=1e-8 * np.abs(poly).max())
 
@@ -136,7 +147,7 @@ class TestShapeFunctions:
         ref, rows, uncorrected = batched_correct_oracle(field, exposed, history, grid, cfg)
         assert report.uncorrected == uncorrected
         assert [r[:3] for r in report.rows] == [r[:3] for r in rows]
-        nodes = report.corrected_nodes()
+        nodes = report.nodes
         lam = np.array(report.lebesgue)
         assert np.all(np.abs(out[nodes] - ref[nodes]) <= 1e-12 * lam * np.abs(field).max())
         np.testing.assert_array_equal(np.delete(out, nodes), np.delete(ref, nodes))
@@ -145,20 +156,30 @@ class TestShapeFunctions:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 16),
            order=st.integers(0, 3))
     def test_partition_of_unity_and_reproduction(self, seed, n, order):
+        # each corrected node's shape functions, as the kernel returns them,
+        # sum to 1 and to Lambda_j in absolute value, and the correction
+        # reproduces every monomial of the fit's order
         grid, rng = scatter(seed, n)
         exposed, history = moving_front(grid, rng)
-        cache = StencilCache()
-        cache.update(exposed, history, grid, MlsConfig(order=order))
-        for j in exposed[np.isfinite(cache.h[exposed])]:
-            part = slice(cache.start[j], cache.start[j] + cache.count[j])
-            a, stencil = cache.shape[part], cache.stencil[part]
-            lam = cache.lebesgue[j]
-            assert lam == pytest.approx(np.abs(a).sum(), rel=1e-14)
-            assert abs(a.sum() - 1.0) <= 1e-12 * lam
-            for ex in range(order + 1):
-                for ey in range(order + 1 - ex):
-                    p = grid.coords[:, 0] ** ex * grid.coords[:, 1] ** ey
-                    assert abs(a @ p[stencil] - p[j]) <= 1e-12 * lam * np.abs(p).max()
+        cfg = MlsConfig(order=order)
+        kernel, fits = mbrom.mls._shape_functions, []
+
+        def spy(offsets, weights, counts, order_):
+            fits.append((kernel(offsets, weights, counts, order_), counts))
+            return fits[-1][0]
+
+        for ex in range(order + 1):
+            for ey in range(order + 1 - ex):
+                p = grid.coords[:, 0] ** ex * grid.coords[:, 1] ** ey
+                with mock.patch.object(mbrom.mls, "_shape_functions", spy):
+                    out, report = correct_field(p, exposed, history, grid, cfg)
+                nodes, lam = report.nodes, np.array(report.lebesgue)
+                assert np.all(np.abs(out[nodes] - p[nodes]) <= 1e-12 * lam * np.abs(p).max())
+        assert len(fits) == (len(_poly_terms(2, order)) if nodes.size else 0)
+        for a, counts in fits:
+            first = np.cumsum(counts) - counts
+            np.testing.assert_allclose(lam, np.add.reduceat(np.abs(a), first), rtol=1e-14)
+            assert np.all(np.abs(np.add.reduceat(a, first) - 1.0) <= 1e-12 * lam)
 
 
 class TestStencilCache:

@@ -1,5 +1,7 @@
 """Moving least squares fitting and field-correction tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mbrom.data import SpatialGrid
 from mbrom.mls import (
     CorrectionReport,
     MlsConfig,
+    StencilCache,
     correct_field,
     mls_value,
     wendland_c2,
@@ -170,6 +173,20 @@ class TestCorrectField:
             correct_field(np.ones(20), np.array([3]), np.ones(20, bool), g,
                           MlsConfig())
 
+    @pytest.mark.parametrize("exposed, message", [
+        (np.arange(220) < 3, "exposed mask has 220 entries for 270 nodes"),
+        (np.array([5, -1]), "exposed node -1 is not a node index: the grid has nodes 0 to 269"),
+        (np.array([270]), "exposed node 270 is not a node index: the grid has nodes 0 to 269"),
+    ], ids=["short-mask", "negative-index", "index-past-the-grid"])
+    def test_bad_exposed_set_refused_before_the_cache(self, exposed, message):
+        g = line_grid(270)
+        history = np.ones(270, bool)
+        history[:10] = False
+        cache = StencilCache()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            correct_field(np.ones(270), exposed, history, g, MlsConfig(), cache)
+        assert cache._key is None
+
     def test_report_csv(self, tmp_path):
         report = CorrectionReport(rows=[(3, 0.1, 1.0, 2.0)], uncorrected=[7],
                                   lebesgue=[2.5])
@@ -194,7 +211,7 @@ class TestLebesgueFlag:
     def test_ill_conditioned_node_warns(self):
         with pytest.warns(UserWarning, match=r"1 of 2 corrected nodes .* node 150"):
             out, report = self.case([150, 180])
-        lam = dict(zip(report.corrected_nodes(), report.lebesgue))
+        lam = dict(zip(report.nodes, report.lebesgue))
         assert lam[150] == pytest.approx(1.49e4, rel=1e-2)
         assert lam[180] == pytest.approx(458, rel=1e-2)
         assert out[150] == report.rows[0][3]  # the warning changes no value

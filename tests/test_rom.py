@@ -35,7 +35,7 @@ from mbrom.data import (
     write_json,
 )
 from mbrom.gpr import GprStack
-from mbrom.pod import reconstruct
+from mbrom.pod import reconstruct, truncate_to
 from mbrom.rom import (
     HorizonExceededError,
     Thresholds,
@@ -60,6 +60,17 @@ def bubble_model():
     cfg = BubbleConfig()
     s, _ = bubble_snapshots(cfg, 51.0, 60.0, 10)
     return cfg, s, build(s)
+
+
+@pytest.fixture(scope="module")
+def moving_models(bubble_model):
+    """The cavity and a 30 x 30 copy of the benchmark's 2D disk."""
+    disk2d = perfbench_disk2d()
+    s = disk2d.disk_snapshots(disk2d.DiskConfig(n_side=30), 51.0, 60.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        disk = build(s)
+    return {"disk": disk, "cavity": bubble_model[2]}
 
 
 class TestBuild:
@@ -385,11 +396,53 @@ class TestStencilCache:
             ref, rows, uncorrected = batched_correct_oracle(*args[:5])
             assert report.uncorrected == uncorrected
             assert [r[:3] for r in report.rows] == [r[:3] for r in rows]
-            nodes = report.corrected_nodes()
+            nodes = report.nodes
             lam = np.array(report.lebesgue)
             assert np.all(lam >= 1.0) and lam.max() < mbrom.mls.LEBESGUE_WARN
             scale = np.abs(args[0]).max()
             assert np.all(np.abs(out[nodes] - ref[nodes]) <= 1e-12 * lam * scale)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["disk", "cavity"]),
+           t=st.floats(60.0, 64.0, exclude_min=True))
+    def test_rows_match_batched_fit_and_keep_reconstruct_bits(self, moving_models, name, t):
+        # warm and cold: the models' caches persist across examples; the
+        # corrected values within the gate of the batched fit, every other
+        # node with the bits of pod.reconstruct
+        m = moving_models[name]
+        fc = forecast(m, t, force=True)
+        before = reconstruct(m.basis, m.mean, m.posterior(t)[0])
+        fluid = fc.fluid_mask
+        ref, rows, uncorrected = batched_correct_oracle(
+            before, fluid & ~m.window_all_fluid, fluid & m.window_all_fluid, m.grid, m.mls_cfg
+        )
+        report = fc.correction_report
+        assert report.uncorrected == uncorrected
+        assert [r[:3] for r in report.rows] == [r[:3] for r in rows]
+        nodes, lam = report.nodes, np.array(report.lebesgue)
+        np.testing.assert_array_equal(fc.corrected_nodes, nodes)
+        assert np.all(np.abs(fc.field[nodes] - ref[nodes]) <= 1e-12 * lam * np.abs(before).max())
+        assert np.delete(fc.field, nodes).tobytes() == np.delete(before, nodes).tobytes()
+
+    def test_replaced_basis_or_mean_refits(self, bubble_model):
+        # the cache tells the mean and the modes apart by identity, so a
+        # model whose basis or mean is replaced after a forecast matches a
+        # fresh model, not the rows of the old terms
+        _, _, m = bubble_model
+        m = dataclasses.replace(m)
+        old = forecast(m, 64.0, force=True)
+        first = truncate_to(m.basis, 1).modes  # the second mode zeroed, so R stays 2
+        changes = (
+            ("basis", dataclasses.replace(m.basis, modes=np.vstack([first, 0.0 * first]))),
+            ("mean", 2.0 * m.mean),
+        )
+        for attr, value in changes:
+            setattr(m, attr, value)
+            got = forecast(m, 64.0, force=True)
+            self.assert_same(got, forecast(dataclasses.replace(m), 64.0, force=True))
+            nodes = got.corrected_nodes
+            assert np.all(got.field[nodes] != old.field[nodes])
+            old = got
 
 
 class TestBasisOnAlwaysFluidNodes:
