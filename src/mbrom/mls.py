@@ -428,9 +428,9 @@ class StencilCache:
 
 
 def _node_indices(exposed, n_nodes: int) -> np.ndarray:
-    """``exposed`` (indices, or a boolean mask over the nodes) as indices;
-    a mask of another length or an index outside [0, n_nodes) is a
-    ValueError."""
+    """``exposed`` (distinct indices, or a boolean mask over the nodes) as
+    indices; a mask of another length, or an index that is not an integer,
+    lies outside [0, n_nodes) or repeats, is a ValueError."""
     exposed = np.asarray(exposed)
     if exposed.dtype == bool:
         if exposed.size != n_nodes:
@@ -438,13 +438,26 @@ def _node_indices(exposed, n_nodes: int) -> np.ndarray:
                 f"exposed mask has {exposed.size} entries for {n_nodes} nodes"
             )
         return np.flatnonzero(exposed)
-    exposed = exposed.astype(int).ravel()
+    exposed = exposed.ravel()
+    if exposed.dtype.kind not in "iuf":
+        raise ValueError(f"exposed nodes must be integers, not {exposed.dtype}")
+    if exposed.dtype.kind == "f":
+        fraction = ~np.isfinite(exposed) | (exposed != np.trunc(exposed))
+        if fraction.any():
+            raise ValueError(
+                f"exposed node {float(exposed[fraction][0])!r} is not an integer"
+            )
     outside = (exposed < 0) | (exposed >= n_nodes)
     if outside.any():
         raise ValueError(
             f"exposed node {exposed[outside][0]} is not a node index: the grid "
             f"has nodes 0 to {n_nodes - 1}"
         )
+    exposed = exposed.astype(np.intp)
+    counts = np.bincount(exposed)
+    if (counts > 1).any():
+        node = int(np.argmax(counts > 1))
+        raise ValueError(f"exposed node {node} is listed {counts[node]} times")
     return exposed
 
 

@@ -7,13 +7,15 @@ search the library ran before its lockstep refine: the same length-scale
 and noise-ratio grids, then per output a bounded scalar search in the
 length scale with an L-BFGS-B over (theta_f, sigma) at each step.
 ``gpr_horizon_modes`` and ``gpr_horizon_boundary`` predict one scan time per
-call.  ``predict`` is one GP's posterior through scipy's triangular solve.
+call.  ``predict`` is one GP's posterior through scipy's triangular solve,
+and ``exact_variance`` its variance by forward substitution in rationals.
 The library prices the likelihood in the kernel's eigenbasis, predicts a
 whole scan in one block and stacks the GPs of a forecast; these are the
 plain definitions it is checked against.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -42,6 +44,16 @@ def predict(m: GprModel, t_query) -> tuple[np.ndarray, np.ndarray]:
     var = m.kernel.theta_f**2 - np.sum(v * v, axis=0)
     var = np.clip(var, 0.0, None)
     return mu * m.y_scale + m.y_mean, np.sqrt(var) * m.y_scale
+
+
+def exact_variance(factor: np.ndarray, k: np.ndarray, tf2: float) -> Fraction:
+    """tf2 - |v|^2 with L v = k solved exactly: every float of the lower
+    factor L, the kernel column k and tf2 is taken as the rational it is."""
+    L = [[Fraction(float(x)) for x in row[: i + 1]] for i, row in enumerate(factor)]
+    v: list[Fraction] = []
+    for i, row in enumerate(L):
+        v.append((Fraction(float(k[i])) - sum(a * b for a, b in zip(row, v))) / row[i])
+    return Fraction(float(tf2)) - sum(x * x for x in v)
 
 
 def _median_heuristic(ts: np.ndarray) -> float:

@@ -746,3 +746,41 @@ def test_cli_import_leaves_out_the_tree_module():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+NO_SCIPY = """
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import mbrom.cli
+seen = {"import mbrom.cli": scipy_modules()}
+from mbrom.benchmarks import BurgersConfig, burgers_snapshots
+from mbrom.rom import build, forecast, save_rom_model
+model = build(burgers_snapshots(BurgersConfig(reynolds=100.0, nx=201), 0.3, 0.5, 20))
+forecast(model, 0.55, force=True)
+seen["build + forecast"] = scipy_modules()
+out = Path(sys.argv[1])
+save_rom_model(model, out / "model")
+argv = ["forecast", str(out / "model"), "--t", "0.55", "--force", "--out", str(out / "fc")]
+seen["exit"] = mbrom.cli.main(argv)
+seen["mbrom forecast"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_all_fluid_build_and_forecast_load_no_scipy(tmp_path):
+    # an all-fluid model needs no k-d tree, and the GP posterior solves in numpy
+    src = str(Path(mbrom.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "import mbrom.cli": [], "build + forecast": [], "exit": 0, "mbrom forecast": [],
+    }
+    assert (tmp_path / "fc" / "field.csv").exists()
+

@@ -1,5 +1,6 @@
 """GP kernel, likelihood, training, prediction and horizon tests."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve
+from scipy.linalg.lapack import dtrtrs
 
 import gpr_oracles as oracle
 from mbrom.gpr import (
@@ -236,16 +238,21 @@ def random_gps(seed, M, P):
 
 
 class TestStack:
-    """``GprStack`` against one-GP-at-a-time posteriors (``oracle.predict``)."""
+    """``GprStack`` against one-GP-at-a-time posteriors (``GprModel.predict``
+    and ``oracle.predict``) and against an exact rational solve."""
 
     @staticmethod
     def assert_matches_oracle(stack, tq):
+        """Stacked equals solo bit for bit; the mean equals the oracle's bit
+        for bit and the variance to 1e-11 of the prior's; 0 <= sigma <= theta_f."""
         mu, sd = stack.predict(tq)
         for p, gp in enumerate(stack.models):
-            ref_mu, ref_sd = oracle.predict(gp, tq)
-            assert same_bits(mu[p], ref_mu) and same_bits(sd[p], ref_sd), p
             solo_mu, solo_sd = gp.predict(tq)
-            assert same_bits(solo_mu, ref_mu) and same_bits(solo_sd, ref_sd), p
+            assert same_bits(mu[p], solo_mu) and same_bits(sd[p], solo_sd), p
+            ref_mu, ref_sd = oracle.predict(gp, tq)
+            assert same_bits(mu[p], ref_mu), p
+            assert np.abs(sd[p] ** 2 - ref_sd**2).max() <= 1e-11 * gp.theta_f**2, p
+            assert (sd[p] >= 0.0).all() and (sd[p] <= gp.theta_f).all(), p
 
     @pytest.mark.parametrize("name", [*sorted(FIXTURES), "disk"])
     def test_fixture_gps_bit_identical(self, fixture_model, name):
@@ -269,10 +276,35 @@ class TestStack:
         hi = max(gp.train_t[-1] for gp in gps)
         tq = np.random.default_rng(seed + 1).uniform(lo - 5.0, hi + 5.0, Q)
         self.assert_matches_oracle(stack, tq)
-        _, sd = stack.predict(tq)
-        assert (sd >= 0.0).all()
-        for p, gp in enumerate(gps):
-            assert (sd[p] <= gp.theta_f).all()
+
+    def test_sigma_error_at_most_twice_lapack_against_exact_solve(self, fixture_model):
+        """Every fixture GP at times inside the window (midpoints and every
+        third training time, where sigma is smallest) and beyond it: the
+        worst relative sigma error of the stack, against the exact rational
+        solve with the same factor and kernel values, is at most twice that
+        of LAPACK's triangular solve."""
+        worst = {"stack": 0.0, "lapack": 0.0}
+        for name in [*sorted(FIXTURES), "disk"]:
+            m = fixture_model(name)
+            for gp in [*m.mode_models, *(m.boundary_models or [])]:
+                stack = GprStack([gp])
+                t = gp.train_t
+                tq = np.r_[0.5 * (t[1:] + t[:-1]), t[::3],
+                           t[-1] + np.array([0.01, 0.05, 0.2, 0.5]) * (t[-1] - t[0])]
+                ks = stack._kernel_block(tq)[0]
+                tf2 = gp.kernel.theta_f**2
+                v = dtrtrs(gp.factor.T, ks.T, lower=0, trans=1)[0]
+                sd = {
+                    "stack": stack.predict(tq)[1][0] / gp.y_scale,
+                    "lapack": np.sqrt(np.clip(tf2 - np.sum(v * v, axis=0), 0.0, None)),
+                }
+                for q in range(tq.shape[0]):
+                    var = oracle.exact_variance(gp.factor, ks[q], tf2)
+                    assert var > 0, (name, tq[q])
+                    exact = math.sqrt(var)
+                    for key in worst:
+                        worst[key] = max(worst[key], abs(sd[key][q] - exact) / exact)
+        assert worst["stack"] <= 2.0 * worst["lapack"], worst
 
     def test_unequal_training_sizes_rejected(self):
         gps = random_gps(0, 5, 1) + random_gps(1, 6, 1)

@@ -177,7 +177,12 @@ class TestCorrectField:
         (np.arange(220) < 3, "exposed mask has 220 entries for 270 nodes"),
         (np.array([5, -1]), "exposed node -1 is not a node index: the grid has nodes 0 to 269"),
         (np.array([270]), "exposed node 270 is not a node index: the grid has nodes 0 to 269"),
-    ], ids=["short-mask", "negative-index", "index-past-the-grid"])
+        (np.array([2.7, 3.2]), "exposed node 2.7 is not an integer"),
+        (np.array([4.0, np.nan]), "exposed node nan is not an integer"),
+        (np.array([12, 3, 40, 3]), "exposed node 3 is listed 2 times"),
+        (np.array(["3"]), "exposed nodes must be integers, not <U1"),
+    ], ids=["short-mask", "negative-index", "index-past-the-grid", "fraction", "nan",
+            "repeat", "string"])
     def test_bad_exposed_set_refused_before_the_cache(self, exposed, message):
         g = line_grid(270)
         history = np.ones(270, bool)
@@ -186,6 +191,18 @@ class TestCorrectField:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             correct_field(np.ones(270), exposed, history, g, MlsConfig(), cache)
         assert cache._key is None
+
+    @pytest.mark.parametrize("exposed", [[], np.array([12.0, 3.0]), np.array([12, 3], np.uint8)],
+                             ids=["empty", "whole-floats", "unsigned"])
+    def test_integer_valued_exposed_sets_accepted(self, exposed):
+        g = line_grid(270)
+        history = np.ones(270, bool)
+        history[:20] = False
+        field = np.cos(g.coords[:, 0])
+        out, report = correct_field(field, exposed, history, g, MlsConfig())
+        assert sorted(report.nodes.tolist()) == sorted(int(i) for i in exposed)
+        if len(exposed) == 0:
+            assert np.array_equal(out, field)
 
     def test_report_csv(self, tmp_path):
         report = CorrectionReport(rows=[(3, 0.1, 1.0, 2.0)], uncorrected=[7],
