@@ -39,6 +39,17 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite {what} {row}")
 
 
+def _median(v: np.ndarray) -> float:
+    """The bits of ``np.median`` for finite ``v``, without its overhead: the
+    mean of the middle value or of the middle two, summed from 0 as
+    ``np.mean`` sums them."""
+    m = v.size // 2
+    if v.size % 2:
+        return float(0.0 + np.partition(v, m)[m])
+    a, b = np.partition(v, [m - 1, m])[m - 1 : m + 1]
+    return float((0.0 + a + b) / 2)
+
+
 def _require_finite_fields(record) -> None:
     """Reject a config dataclass with a NaN or infinite field, naming the
     field; a field of None is unset and passes."""
@@ -94,9 +105,8 @@ class SpatialGrid:
     def spacing(self) -> float:
         """Typical node spacing, used to seed interpolation radii."""
         if self.dim == 1:
-            xs = np.sort(self.coords[:, 0])
-            return float(np.median(np.diff(xs)))
-        return float(np.sqrt(np.median(self.quad_weights)))
+            return _median(np.diff(np.sort(self.coords[:, 0])))
+        return float(np.sqrt(_median(self.quad_weights)))
 
     @classmethod
     def uniform_1d(cls, a: float, b: float, n: int) -> "SpatialGrid":

@@ -1,7 +1,7 @@
 """Gaussian process regression of scalar time series.
 
 Squared-exponential kernel, exact Cholesky posterior, and marginal-likelihood
-training, in numpy alone (no scipy).  Training standardizes inputs and
+training, in numpy alone.  Training standardizes inputs and
 outputs internally; predictions are returned in the original units.
 ``GprStack`` predicts several GPs with equal training sizes in one call;
 ``GprModel.predict`` is its one-GP case.  The two horizon scans turn
@@ -27,7 +27,7 @@ profiled out exactly.  The search:
    of pairs: a golden-section search in log theta_l with one stacked
    ``eigh`` per step, and at each point a safeguarded Newton search in
    log r on the exact derivatives, warm-started from the previous ratio.
-   No scipy optimizer.
+   No library optimizer.
 3. Tie rule: where the fitted kernel's largest off-diagonal on the training
    times is at most JITTER0, K = I there and only
    theta_f^2 (1 + JITTER0) + sigma^2 is identified.  The ridge goes to the

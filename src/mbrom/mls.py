@@ -8,8 +8,8 @@ In a forecast the correction supplies the value of every fluid node
 outside B, the nodes fluid in every snapshot: the basis is built on B and
 is 0 everywhere else.  A node the correction leaves uncorrected reads 0.
 
-This module holds the program's one local fit: the k-d-tree stencil
-search (``_kth_d2``, ``_balls``) and the shape-function kernel
+This module holds the program's one local fit: the cell-grid stencil
+search (``_Buckets``, numpy alone) and the shape-function kernel
 (``mls._shape_functions``), through which the fit is used.  The value at
 node j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
 stencil (the trusted nodes strictly inside its radius h_j) and
@@ -38,19 +38,14 @@ coefficients agrees with a_j . f[S_j] to rounding, within
 
 from __future__ import annotations
 
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import TYPE_CHECKING
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .data import SpatialGrid, _require_finite_fields
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 __all__ = [
     "MlsConfig",
@@ -93,6 +88,19 @@ def _poly_matrix(pts: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _moment_layout(dim: int, order: int) -> tuple[list, list, np.ndarray]:
+    """The fit's monomials up to ``order``, the moments' up to twice it,
+    and ``pair``: the index in the second list of each product of two of
+    the first.  Built once per (dim, order) and shared, so read-only."""
+    terms = _poly_terms(dim, order)
+    terms2 = _poly_terms(dim, 2 * order)
+    index = {e: k for k, e in enumerate(terms2)}
+    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
+    pair.setflags(write=False)
+    return terms, terms2, pair
+
+
 def _term_name(e: tuple[int, ...]) -> str:
     axes = "xy"
     parts = [
@@ -101,18 +109,6 @@ def _term_name(e: tuple[int, ...]) -> str:
         if p > 0
     ]
     return "*".join(parts) if parts else "1"
-
-
-def _tree(pts: np.ndarray) -> cKDTree:
-    """k-d tree over ``pts`` for ``_kth_d2`` and ``_balls``.
-
-    The sliding-midpoint split (Maneewongvatana & Mount 1999) builds faster
-    than the median split on grids; query distances do not depend on the
-    split.  scipy.spatial loads on first use, not with the package.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
 
 def _d2(pts: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -128,52 +124,153 @@ def _d2(pts: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
     )
 
 
-def _balls(
-    tree: cKDTree, pts: np.ndarray, targets: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of ``pts`` (indexed by ``tree``) within distance ``r`` of each target.
+_BLOCK = 1 << 16  # candidate entries (targets x padded width) gathered at a time
 
-    Returns (T, K) indices and squared distances, each row ordered by the
-    squared distance summed over axes, ties to the lower index, and padded
-    with d2 = inf.  The query radius is widened by 1e-9 so that rounding in
-    the tree cannot drop a node; callers test the exact d2 themselves.  The
-    tree's index lists go into the padded array in one pass.
+
+class _Buckets:
+    """Fixed-radius neighbor search over points sorted into square cells
+    (Bentley, Stanat & Williams 1977), in numpy alone.
+
+    The points are sorted by cell, row by row of cells, with one stable
+    argsort, and ``starts`` bounds each cell's run: the cells of one row
+    that a box around a target overlaps are one slice of the sorted points.
+    A summed-area table of the cell counts gives the number of points in any
+    box of cells without touching them.  A 1-D grid is one row of cells.
+    The cells only pick candidates: every decision is made on the exact
+    squared distances of ``_d2``.
     """
-    balls = tree.query_ball_point(targets, r * (1.0 + 1e-9), return_sorted=True)
-    sizes = np.fromiter(map(len, balls), np.intp, len(balls))
-    slot = np.arange(sizes.max()) < sizes[:, None]
-    idx = np.zeros(slot.shape, dtype=np.intp)
-    idx[slot] = np.fromiter(itertools.chain.from_iterable(balls), np.intp, int(sizes.sum()))
-    d2 = np.where(slot, _d2(pts, idx, targets), np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
+    def __init__(self, pts: np.ndarray, side: float) -> None:
+        n = len(pts)
+        plane = self._plane(pts).T.copy()
+        self.origin = plane.min(axis=1)
+        extent = plane.max(axis=1) - self.origin
+        while (extent[0] // side + 1) * (extent[1] // side + 1) > 4 * n + 64:
+            side *= 2.0  # at most about 4 cells a point
+        self.side = side
+        # cell coordinates round at about 1e-16 of the extent; a box widened
+        # by 1e-12 of it still holds every point its half-width reaches
+        self.slack = 1e-12 * max(extent) / side
+        self.shape = (extent / side).astype(np.intp) + 1
+        cells = ((plane - self.origin[:, None]) / side).astype(np.intp)
+        cell = cells[0] * self.shape[1] + cells[1]
+        self.order = np.argsort(cell, kind="stable")
+        counts = np.bincount(cell, minlength=self.shape.prod())
+        self.starts = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.starts[1:])
+        table = np.zeros(self.shape + 1, dtype=np.intp)
+        np.cumsum(counts.reshape(self.shape), axis=0, out=table[1:, 1:])
+        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        self.table = table.ravel()
+        # index n stands for a point at infinity, whose d2 is inf
+        self.padded = np.full((n + 1, pts.shape[1]), np.inf)
+        self.padded[:n] = pts
 
-_PAD = 8  # candidates fetched past the k-th nearest, to hold its distance ties
+    @staticmethod
+    def _plane(x: np.ndarray) -> np.ndarray:
+        """(T, 2) cell-plane coordinates: a 1-D point lies on row 0."""
+        plane = np.zeros((len(x), 2))
+        plane[:, 2 - x.shape[1] :] = x
+        return plane
 
+    def _boxes(
+        self, targets: np.ndarray, r: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells [a, b) along both axes, (T, m, 2) each, that a box of
+        half-width ``r`` (m,) around each target overlaps, and the number of
+        points in them, (T, m).  The half-width is widened by 1e-9 of itself,
+        as a tree query widens its radius, and by ``slack`` cells."""
+        # in cells; rounding can only widen b = floor(x + reach + 1), the
+        # end past the last cell floor(x + reach)
+        reach = np.multiply.outer(r * ((1.0 + 1e-9) / self.side) + self.slack, (-1.0, 1.0))
+        reach[:, 1] += 1.0
+        x = (self._plane(targets) - self.origin) / self.side
+        ends = np.floor(x[:, None, None, :] + reach[..., None])
+        ends = np.minimum(np.maximum(ends, 0.0), self.shape).astype(np.intp)
+        t = self.table.take(ends[..., 0, None] * (self.shape[1] + 1) + ends[..., None, :, 1])
+        counts = t[..., 1, 1] - t[..., 0, 1] - t[..., 1, 0] + t[..., 0, 0]
+        return ends[..., 0, :], ends[..., 1, :], counts
 
-def _kth_d2(tree: cKDTree, pts: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
-    """Each target's k-th smallest exact squared distance to ``pts``.
+    def _gather(
+        self, targets: np.ndarray, a: np.ndarray, b: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every point in the cells [a, b) (T, 2) of each target, ``counts``
+        of them, with its squared distance.
 
-    Row for row this is ``np.sort(d2)[k - 1]`` of a brute-force scan.  One
-    tree query fetches the k + ``_PAD`` nearest by tree distance; the cut is
-    the k-th of them widened by 1e-9, so it holds every node that ties with
-    or undercuts the k nearest, and the answer is the k-th smallest exact d2
-    inside it.  A row whose last candidate is still inside the cut (a tie
-    group running past the pad) may miss nodes, and goes through the ball
-    search out to the cut instead.
-    """
-    n = pts.shape[0]
-    k = min(k, n)
-    m = min(n, k + _PAD)
-    dist, idx = (a.reshape(len(targets), m) for a in tree.query(targets, k=m))
-    cut = dist[:, k - 1] * (1.0 + 1e-9)
-    d2 = np.where(dist <= cut[:, None], _d2(pts, idx, targets), np.inf)
-    kth = np.sort(d2, axis=1)[:, k - 1]
-    short = np.flatnonzero((dist[:, -1] <= cut) & (m < n))
-    if short.size:
-        kth[short] = _balls(tree, pts, targets[short], dist[short, k - 1])[1][:, k - 1]
-    return kth
+        Returns (T, K) indices and squared distances, each row ordered by
+        the squared distance, ties to the lower index, and padded with index
+        n and d2 = inf.
+        """
+        rows = b[:, 0] - a[:, 0]
+        owner = np.repeat(np.arange(len(targets)), rows)
+        row = np.repeat(a[:, 0] - (np.cumsum(rows) - rows), rows) + np.arange(owner.size)
+        row *= self.shape[1]
+        first = self.starts[row + a[owner, 1]]
+        sizes = self.starts[row + b[owner, 1]] - first
+        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        idx = np.full((len(targets), int(counts.max())), len(self.order))
+        idx[np.arange(idx.shape[1]) < counts[:, None]] = self.order[pos]
+        idx.sort(axis=1)
+        d2 = _d2(self.padded, idx, targets)
+        order = np.argsort(d2, axis=1, kind="stable")
+        order += np.arange(0, idx.size, idx.shape[1])[:, None]
+        return idx.take(order), d2.take(order)
+
+    def stencils(
+        self, targets: np.ndarray, ladder: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each target's rung and stencil.
+
+        The rung is the first i with at least ``k`` points strictly inside
+        ``ladder[i]`` (``ladder.size``: none), that is
+        ``searchsorted(ladder, sqrt(kth_d2), "right")`` with kth_d2 the k-th
+        smallest squared distance.  The stencil is the points strictly
+        inside the rung's radius, nearest first, ties to the lower index.
+        Returns (rung, fitted, idx, d, sizes): the fitted targets' stencils
+        lie end to end in ``idx`` (point indices) and ``d`` (distances), in
+        the order of ``fitted``, with ``sizes`` points each.
+
+        A gather at rung g settles every target whose k-th nearest candidate
+        lies strictly inside ladder[g]: the box holds every point within
+        ladder[g], so that candidate is the k-th nearest point, and the
+        stencil is among the candidates.  A target whose largest box holds
+        fewer than k points is never gathered.  The first gather is at the
+        first rung whose box holds 3k/2 points, which settles most targets
+        at once: a box holds a third or so more points than its inscribed
+        disk.  A target it does not settle has its k-th nearest point
+        beyond ladder[g] and no farther than its k-th nearest candidate, so
+        its rung lies in (g, found], and a second gather at rung
+        min(found, last) settles it or shows it lies beyond the last rung:
+        no target is gathered more than twice.  A gather takes at most about
+        ``_BLOCK`` entries at a time, widest boxes first.
+        """
+        T, L = len(targets), ladder.size
+        a, b, counts = self._boxes(targets, ladder)
+        g = np.minimum((counts < 1.5 * k).sum(axis=1), L - 1)
+        rung = np.full(T, L)
+        empty = np.zeros(0, dtype=np.intp)
+        parts = [(empty, empty, np.zeros(0), empty)]
+        pending = np.flatnonzero(counts[:, -1] >= k)
+        while pending.size:
+            width = counts[pending, g[pending]]
+            by_width = np.argsort(-width, kind="stable")
+            pending, width = pending[by_width], width[by_width]
+            last = g[pending]
+            start = 0
+            while start < pending.size:
+                stop = start + max(1, _BLOCK // int(width[start]))
+                chunk, gi, wide = pending[start:stop], last[start:stop], width[start:stop]
+                idx, d2 = self._gather(targets[chunk], a[chunk, gi], b[chunk, gi], wide)
+                start = stop
+                found = np.searchsorted(ladder, np.sqrt(d2[:, k - 1]), side="right")
+                g[chunk] = np.minimum(found, L - 1)
+                done = found <= gi
+                rung[chunk[done]] = found[done]
+                d = np.sqrt(d2[done])
+                inside = d < ladder[found[done], None]
+                parts.append((chunk[done], idx[done][inside], d[inside], inside.sum(axis=1)))
+            pending = pending[(rung[pending] == L) & (g[pending] > last)]
+        return rung, *(np.concatenate(p) for p in zip(*parts))
 
 
 def _shape_functions(
@@ -196,12 +293,8 @@ def _shape_functions(
     sum runs over one stencil's rows alone, so a node's shape functions are
     the same bits whichever batch it is fitted in.
     """
-    dim = offsets.shape[1]
-    terms = _poly_terms(dim, order)
-    terms2 = _poly_terms(dim, 2 * order)
     # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
-    index = {e: k for k, e in enumerate(terms2)}
-    pair = np.array([[index[tuple(map(sum, zip(ei, el)))] for el in terms] for ei in terms])
+    terms, terms2, pair = _moment_layout(offsets.shape[1], order)
     T = counts.size
     starts = np.concatenate([[0], np.cumsum(counts)])
     e0 = np.zeros((T, len(terms), 1))
@@ -336,6 +429,10 @@ class StencilCache:
     They come from the node's stencil (the trusted nodes strictly inside h,
     nearest first, distance ties to the lower index) and its shape
     functions, which are used once, when the node is fitted, and not kept.
+    The stencils are found in a cell grid of the trusted nodes
+    (``_Buckets``, cells of side h0/2), built when the contents are
+    replaced; all the nodes newly exposed in one correction are searched
+    together and fitted in one call of the kernel.
     None of this depends on the coefficients, so a later correction over
     the same trusted set only combines each node's row with them.  Another
     trusted set, grid, configuration, mean or modes replaces the contents;
@@ -374,25 +471,18 @@ class StencilCache:
         if new.size == 0:
             return
         rung = np.full(new.size, self.ladder.size)
-        if self.tree is not None:
+        if self.buckets is not None:
             need = cfg.required_neighbors(grid.dim)
-            d2 = _kth_d2(self.tree, self.hist_pts, grid.coords[new], need)
-            rung = np.searchsorted(self.ladder, np.sqrt(d2), side="right")
-        h = np.append(self.ladder, np.inf)[rung]  # inf: beyond the last rung
-        fit = np.isfinite(h)
-        if fit.any():
-            self._fit(new[fit], h[fit], grid, cfg)
-        self.h[new] = h  # only once the fits have succeeded
+            rung, fitted, sel, d, counts = self.buckets.stencils(
+                grid.coords[new], self.ladder, need
+            )
+            if fitted.size:
+                self._fit(new[fitted], self.ladder[rung[fitted]], sel, d, counts, grid, cfg)
+        self.h[new] = np.append(self.ladder, np.inf)[rung]  # only once the fits have succeeded
 
-    def _fit(self, nodes, h, grid, cfg) -> None:
-        xp = grid.coords[nodes]
-        sel, d2 = _balls(self.tree, self.hist_pts, xp, h)
-        d = np.sqrt(d2)
-        inside = d < h[:, None]
-        sel, d = sel[inside], d[inside]
-        counts = inside.sum(axis=1)
+    def _fit(self, nodes, h, sel, d, counts, grid, cfg) -> None:
         hk = np.repeat(h, counts)
-        offsets = (self.hist_pts[sel] - np.repeat(xp, counts, axis=0)) / hk[:, None]
+        offsets = (self.hist_pts[sel] - np.repeat(grid.coords[nodes], counts, axis=0)) / hk[:, None]
         shape = _shape_functions(offsets, wendland_c2(d / hk), counts, cfg.order)
         first = np.cumsum(counts) - counts
         self.lebesgue[nodes] = np.add.reduceat(np.abs(shape), first)
@@ -420,7 +510,7 @@ class StencilCache:
         self.hist_idx = np.flatnonzero(history)
         self.hist_pts = grid.coords[self.hist_idx]
         enough = self.hist_idx.size >= cfg.required_neighbors(grid.dim)
-        self.tree = _tree(self.hist_pts) if enough else None
+        self.buckets = _Buckets(self.hist_pts, h0 / 2) if enough else None
         self.terms = [np.asarray(mean, dtype=float), *(() if modes is None else modes)]
         self.h = np.full(grid.n_nodes, np.nan)  # nan: not looked at yet
         self.lebesgue = np.full(grid.n_nodes, np.nan)

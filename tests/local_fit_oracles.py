@@ -1,8 +1,8 @@
 """Per-node reference implementation of the MLS correction: one
 brute-force neighbor scan and one dense solve per node.
 
-The library batches the correction over a k-d tree; this loop is the plain
-definition it is checked against.  ``_local_fit`` is the batched
+The library batches the correction over a cell-grid search; this loop is
+the plain definition it is checked against.  ``_local_fit`` is the batched
 coefficient fit the library used before its one shape-function kernel:
 ``batched_correct_oracle`` is the correction on it, the reference for the
 shape-function form to within rounding.
@@ -10,9 +10,8 @@ shape-function form to within rounding.
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial import cKDTree
 
-from mbrom.mls import _balls, _poly_matrix, _poly_terms, _term_name, wendland_c2
+from mbrom.mls import _poly_matrix, _poly_terms, _term_name, wendland_c2
 
 
 def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
@@ -67,6 +66,25 @@ def _local_fit(
     L = _cholesky_moments(mm, terms)
     y = np.linalg.solve(L, rhs[:, :, None])
     return np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
+
+
+def brute_stencils(pts, targets, h):
+    """Each target's stencil by a full scan: the nodes of ``pts`` strictly
+    inside its radius ``h``, nearest first by exact squared distance, ties
+    to the lower index.  Returns (T, K) indices and squared distances padded
+    with index 0 and d2 = inf."""
+    rows = []
+    for x, r in zip(targets, h):
+        d2 = np.sum((pts - x) ** 2, axis=1)
+        inside = np.flatnonzero(np.sqrt(d2) < r)
+        order = inside[np.lexsort((inside, d2[inside]))]
+        rows.append((order, d2[order]))
+    width = max(len(i) for i, _ in rows)
+    idx = np.zeros((len(rows), width), dtype=int)
+    d2 = np.full((len(rows), width), np.inf)
+    for row, (i, d) in enumerate(rows):
+        idx[row, : i.size], d2[row, : i.size] = i, d
+    return idx, d2
 
 
 def _monomials(pts, terms):
@@ -143,7 +161,7 @@ def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
 
     xp = xp[fit]
     h = np.asarray(ladder)[rung[fit]]
-    sel, d2 = _balls(cKDTree(hist_pts), hist_pts, xp, h)
+    sel, d2 = brute_stencils(hist_pts, xp, h)
     d = np.sqrt(d2)
     w = np.where(d < h[:, None], wendland_c2(d / h[:, None]), 0.0)
     new_vals = _local_fit(

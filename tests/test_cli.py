@@ -738,7 +738,7 @@ class TestModelFile:
 
 
 def test_cli_import_leaves_out_the_tree_module():
-    # the k-d tree (scipy.spatial) loads only when a correction runs
+    # the stencil search is numpy alone: no scipy.spatial at import
     src = str(Path(mbrom.__file__).resolve().parents[1])
     code = "import sys, mbrom.cli; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(
@@ -757,30 +757,53 @@ def scipy_modules():
 
 import mbrom.cli
 seen = {"import mbrom.cli": scipy_modules()}
-from mbrom.benchmarks import BurgersConfig, burgers_snapshots
+from mbrom import benchmarks
 from mbrom.rom import build, forecast, save_rom_model
-model = build(burgers_snapshots(BurgersConfig(reynolds=100.0, nx=201), 0.3, 0.5, 20))
-forecast(model, 0.55, force=True)
+out, kind = Path(sys.argv[1]), sys.argv[2]
+if kind == "burgers":
+    t = "0.55"
+    model = build(benchmarks.burgers_snapshots(
+        benchmarks.BurgersConfig(reynolds=100.0, nx=201), 0.3, 0.5, 20))
+else:
+    t = "64"
+    model = build(benchmarks.bubble_snapshots(benchmarks.BubbleConfig(nr=60), 51.0, 60.0, 10)[0])
+fc = forecast(model, float(t), force=True)
 seen["build + forecast"] = scipy_modules()
-out = Path(sys.argv[1])
+seen["corrected"] = len(fc.correction_report.rows) if fc.correction_report else 0
 save_rom_model(model, out / "model")
-argv = ["forecast", str(out / "model"), "--t", "0.55", "--force", "--out", str(out / "fc")]
+argv = ["forecast", str(out / "model"), "--t", t, "--force", "--out", str(out / "fc")]
 seen["exit"] = mbrom.cli.main(argv)
 seen["mbrom forecast"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_all_fluid_build_and_forecast_load_no_scipy(tmp_path):
-    # an all-fluid model needs no k-d tree, and the GP posterior solves in numpy
+def run_no_scipy(tmp_path, kind):
     src = str(Path(mbrom.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path), kind],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    seen = json.loads(out.stdout.strip().splitlines()[-1])
+    assert (tmp_path / "fc" / "field.csv").exists()
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_all_fluid_build_and_forecast_load_no_scipy(tmp_path):
+    # an all-fluid model needs no stencil search, and the GP posterior
+    # solves in numpy
+    assert run_no_scipy(tmp_path, "burgers") == {
+        "import mbrom.cli": [], "build + forecast": [], "corrected": 0, "exit": 0,
+        "mbrom forecast": [],
+    }
+
+
+def test_moving_boundary_build_and_forecast_load_no_scipy(tmp_path):
+    # the cavity forecast corrects its exposed nodes, and the stencil
+    # search and the fill are numpy alone
+    seen = run_no_scipy(tmp_path, "cavity")
+    assert seen.pop("corrected") > 0
     assert seen == {
         "import mbrom.cli": [], "build + forecast": [], "exit": 0, "mbrom forecast": [],
     }
-    assert (tmp_path / "fc" / "field.csv").exists()
+    assert (tmp_path / "fc" / "correction_report.csv").exists()
 

@@ -18,6 +18,7 @@ from mbrom.data import (
     DomainMask,
     SnapshotSet,
     SpatialGrid,
+    _median,
     fill_occluded,
     inner_product,
     load_snapshots,
@@ -82,6 +83,15 @@ class TestGrid:
         g = SpatialGrid.uniform_1d(0.0, 1.0, 11)
         assert g.n_nodes == 11
         assert g.spacing() == pytest.approx(0.1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(v=st.lists(st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, 0.1])
+    ), min_size=1, max_size=40))
+    def test_median_has_the_bits_of_numpy(self, v):
+        # the spacing's median: odd and even sizes, ties and signed zeros
+        v = np.array(v)
+        assert np.float64(_median(v)).tobytes() == np.median(v).tobytes()
 
 
 class TestInnerProduct:

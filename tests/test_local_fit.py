@@ -1,7 +1,7 @@
-"""The batched, k-d-tree-indexed MLS correction against its per-node
-definition (``local_fit_oracles``), plus polynomial reproduction on random
-2D scatter, the cached shape functions of the correction, and the stencil
-search (``_kth_d2``, ``_balls``) against a brute-force scan."""
+"""The batched MLS correction against its per-node definition
+(``local_fit_oracles``), plus polynomial reproduction on random 2D scatter,
+the cached shape functions of the correction, and the stencil search
+(``_Buckets``, a cell grid) against a brute-force scan."""
 
 from unittest import mock
 
@@ -9,21 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
-
 import mbrom.mls
-from local_fit_oracles import batched_correct_oracle, correct_oracle
+from local_fit_oracles import batched_correct_oracle, brute_stencils, correct_oracle
 from mbrom.data import SpatialGrid
-from mbrom.mls import (
-    _PAD,
-    MlsConfig,
-    StencilCache,
-    _balls,
-    _kth_d2,
-    _poly_terms,
-    _tree,
-    correct_field,
-)
+from mbrom.mls import MlsConfig, StencilCache, _Buckets, _poly_terms, correct_field
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -118,14 +107,14 @@ class TestCorrectionOracle:
 
     def test_rung_equal_to_distance_is_skipped_2d(self):
         # the 4th-nearest trusted node lies on the 12-node ring r = 5, exactly
-        # on the rung h = 5; the ring is a tie group longer than the search's
-        # pad, so the 4 + _PAD candidates of its tree query all sit on it
+        # on the rung h = 5; the ring is one tie group, and every trusted
+        # node of the first gather's box sits on or beyond it
         side = np.arange(-8.0, 9.0)
         pts = np.array(np.meshgrid(side, side)).reshape(2, -1).T
         g = SpatialGrid(dim=2, coords=pts, quad_weights=np.ones(pts.shape[0]))
         r2 = np.sum(pts**2, axis=1)
         origin = np.flatnonzero(r2 == 0)
-        assert np.sum(r2 == 25) == 12 >= 4 + _PAD
+        assert np.sum(r2 == 25) == 12
         field = np.random.default_rng(3).standard_normal(pts.shape[0])
         cfg = MlsConfig(order=0, kernel_len=5.0, min_neighbor_factor=4.0)
         report = self.compare(field, origin, r2 >= 25, g, cfg)
@@ -162,24 +151,31 @@ class TestShapeFunctions:
         grid, rng = scatter(seed, n)
         exposed, history = moving_front(grid, rng)
         cfg = MlsConfig(order=order)
-        kernel, fits = mbrom.mls._shape_functions, []
+        kernel, fit, fits = mbrom.mls._shape_functions, StencilCache._fit, []
 
         def spy(offsets, weights, counts, order_):
-            fits.append((kernel(offsets, weights, counts, order_), counts))
-            return fits[-1][0]
+            fits[-1] += [kernel(offsets, weights, counts, order_), counts]
+            return fits[-1][1]
+
+        def spy_fit(self, nodes, *args):  # the nodes, in the order they are fitted
+            fits.append([nodes])
+            return fit(self, nodes, *args)
 
         for ex in range(order + 1):
             for ey in range(order + 1 - ex):
                 p = grid.coords[:, 0] ** ex * grid.coords[:, 1] ** ey
-                with mock.patch.object(mbrom.mls, "_shape_functions", spy):
+                with mock.patch.object(mbrom.mls, "_shape_functions", spy), \
+                        mock.patch.object(StencilCache, "_fit", spy_fit):
                     out, report = correct_field(p, exposed, history, grid, cfg)
                 nodes, lam = report.nodes, np.array(report.lebesgue)
                 assert np.all(np.abs(out[nodes] - p[nodes]) <= 1e-12 * lam * np.abs(p).max())
         assert len(fits) == (len(_poly_terms(2, order)) if nodes.size else 0)
-        for a, counts in fits:
+        where = {int(j): i for i, j in enumerate(nodes)}
+        for fitted, a, counts in fits:
+            lam_fitted = lam[[where[int(j)] for j in fitted]]
             first = np.cumsum(counts) - counts
-            np.testing.assert_allclose(lam, np.add.reduceat(np.abs(a), first), rtol=1e-14)
-            assert np.all(np.abs(np.add.reduceat(a, first) - 1.0) <= 1e-12 * lam)
+            np.testing.assert_allclose(lam_fitted, np.add.reduceat(np.abs(a), first), rtol=1e-14)
+            assert np.all(np.abs(np.add.reduceat(a, first) - 1.0) <= 1e-12 * lam_fitted)
 
 
 class TestStencilCache:
@@ -231,9 +227,43 @@ def brute_kth_d2(pts, targets, k):
     return np.sort(d2, axis=1)[:, min(k, pts.shape[0]) - 1]
 
 
+def search(pts, targets, ladder, k, side):
+    """``_Buckets.stencils`` with its stencils split per target: (rung,
+    {target: (indices, distances)})."""
+    rung, fitted, idx, d, sizes = _Buckets(pts, side).stencils(
+        targets, np.asarray(ladder, dtype=float), k
+    )
+    assert sizes.sum() == idx.size == d.size and fitted.size == sizes.size
+    ends = np.cumsum(sizes)
+    stencils = {int(t): (idx[e - m : e], d[e - m : e]) for t, e, m in zip(fitted, ends, sizes)}
+    assert sorted(stencils) == np.flatnonzero(rung < len(ladder)).tolist()
+    return rung, stencils
+
+
+def assert_matches_brute_force(pts, targets, ladder, k, side):
+    """Rungs, stencils and distances bit for bit against full scans: the
+    rung is the first with k nodes strictly inside, and the stencil is
+    ``brute_stencils`` at the rung's radius."""
+    ladder = np.asarray(ladder, dtype=float)
+    rung, stencils = search(pts, targets, ladder, k, side)
+    if k > pts.shape[0]:
+        want = np.full(len(targets), ladder.size)
+    else:
+        want = np.searchsorted(ladder, np.sqrt(brute_kth_d2(pts, targets, k)), side="right")
+    np.testing.assert_array_equal(rung, want)
+    for t, (idx, d) in stencils.items():
+        ref_idx, ref_d2 = brute_stencils(pts, targets[t : t + 1], ladder[rung[t] : rung[t] + 1])
+        n = np.isfinite(ref_d2[0]).sum()
+        np.testing.assert_array_equal(idx, ref_idx[0, :n])
+        assert d.tobytes() == np.sqrt(ref_d2[0, :n]).tobytes()
+        # the k-th stencil node is the k-th nearest node
+        assert d[k - 1] == np.sqrt(brute_kth_d2(pts, targets[t : t + 1], k)[0])
+    return rung, stencils
+
+
 class TestNearest:
-    """``_kth_d2`` (one padded tree query, ball search for long tie groups)
-    against a brute-force scan."""
+    """The rungs of ``_Buckets.stencils`` (the first rung of the ladder
+    with k nodes strictly inside) against a brute-force scan."""
 
     @staticmethod
     def lattice(data, dim):
@@ -251,18 +281,22 @@ class TestNearest:
                 min_size=T, max_size=T,
             )
         )
-        return scale * pts, scale * 0.5 * np.array(targets, dtype=float)
+        return scale * pts, scale * 0.5 * np.array(targets, dtype=float), scale, side
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), dim=st.sampled_from([1, 2]))
     def test_lattice_matches_brute_force(self, data, dim):
-        pts, targets = self.lattice(data, dim)
+        pts, targets, scale, side = self.lattice(data, dim)
         k = data.draw(st.integers(1, pts.shape[0] + 3))  # includes k >= n
-        want = brute_kth_d2(pts, targets, k)
-        for tree in (_tree(pts), cKDTree(pts)):
-            assert _kth_d2(tree, pts, targets, k).tobytes() == want.tobytes()
+        # rungs on half-unit radii, so that they often fall exactly on a
+        # distance, and cells from a fraction of a node spacing to more
+        # than the lattice
+        reach2 = data.draw(st.lists(st.integers(0, 4 * (side + 2) ** 2), min_size=1, max_size=9))
+        cell = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5, 10.0]))
+        ladder = scale * 0.5 * np.sqrt(np.unique(reach2))
+        assert_matches_brute_force(pts, targets, ladder, k, scale * cell)
 
-    def test_tie_group_past_the_pad_uses_ball_search(self, monkeypatch):
+    def test_tie_group_is_gathered_at_most_twice(self, monkeypatch):
         # 12 lattice nodes at distance 5 from the origin tie for the nearest
         ring = np.array(
             [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25],
@@ -270,33 +304,35 @@ class TestNearest:
         )
         pts = np.vstack([ring[::-1], [[9.0, 9.0], [-9.0, 8.0]]])
         targets = np.array([[0.0, 0.0], [9.0, 8.5]])
-        assert ring.shape[0] > 1 + _PAD
-        calls = []
+        gathered = []
 
-        def spy(tree, pts_, targets_, r):
-            calls.append(targets_.shape[0])
-            return balls(tree, pts_, targets_, r)
+        def spy(self, targets_, a, b, counts):
+            gathered.extend(map(tuple, targets_))
+            return gather(self, targets_, a, b, counts)
 
-        balls = mbrom.mls._balls
-        monkeypatch.setattr(mbrom.mls, "_balls", spy)
+        gather = _Buckets._gather
+        monkeypatch.setattr(_Buckets, "_gather", spy)
+        ladder = [1.0, 4.0, 5.0, 5.5, 8.0, 13.0, 14.0]
         for k in (1, 4, 5, 12, 13):
-            got = _kth_d2(_tree(pts), pts, targets, k)
-            assert got.tobytes() == brute_kth_d2(pts, targets, k).tobytes()
-        # the origin row alone, at k = 1 and 4: its k + _PAD candidates all
-        # sit on the ring; at k >= 5 the query reaches past it
-        assert calls == [1, 1]
+            for side in (0.5, 1.0, 2.5, 30.0):
+                gathered.clear()
+                rung, _ = assert_matches_brute_force(pts, targets, ladder, k, side)
+                assert max(gathered.count(tuple(x)) for x in targets) <= 2
+                if k <= 12:  # the whole ring ties: nothing inside 5, all inside 5.5
+                    assert rung[0] == 3
 
 
 class TestBalls:
-    """``_balls`` (ball sizes, then one k-nearest query out to the largest
-    radius) against an integer brute force."""
+    """The stencils of ``_Buckets.stencils`` (the nodes strictly inside the
+    rung, nearest first, ties to the lower index) against an integer brute
+    force, and against ``brute_stencils`` at every scale."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), dim=st.sampled_from([1, 2]))
     def test_lattice_matches_brute_force(self, data, dim):
-        # nodes on an integer lattice, targets on the half lattice, and radii
-        # (half units) that often fall exactly on a distance: membership is
-        # decided in integers, with no rounding
+        # nodes on an integer lattice, targets on the half lattice, and rungs
+        # (half units) that often fall exactly on a distance: at scale 1,
+        # membership is decided in integers, with no rounding
         side = data.draw(st.integers(2, 7))
         cells = np.array(np.meshgrid(*[np.arange(side)] * dim)).reshape(dim, -1).T
         keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
@@ -306,21 +342,110 @@ class TestBalls:
             st.lists(st.integers(-2, 2 * side + 2), min_size=dim, max_size=dim),
             min_size=T, max_size=T,
         )))
-        reach2 = np.array(data.draw(st.lists(
+        reach2 = np.unique(data.draw(st.lists(
             st.integers(0, 4 * (side + 2) ** 2), min_size=T, max_size=T
         )))
         scale = data.draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+        k = data.draw(st.integers(1, nodes.shape[0]))
+        cell = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5, 10.0]))
         pts, targets = scale * nodes, scale * 0.5 * halves
-        r = scale * 0.5 * np.sqrt(reach2)
-        for tree in (_tree(pts), cKDTree(pts)):
-            idx, d2 = _balls(tree, pts, targets, r)
-            for row in range(T):
-                inside = np.flatnonzero(
-                    np.sum((2 * nodes - halves[row]) ** 2, axis=1) <= reach2[row]
-                )
-                exact = np.sum((pts[inside] - targets[row]) ** 2, axis=1)
-                order = np.lexsort((inside, exact))
-                n = inside.size
-                np.testing.assert_array_equal(idx[row, :n], inside[order])
-                assert d2[row, :n].tobytes() == exact[order].tobytes()
-                assert np.all(d2[row, n:] == np.inf)
+        ladder = scale * 0.5 * np.sqrt(reach2)
+        rung, stencils = assert_matches_brute_force(pts, targets, ladder, k, scale * cell)
+        if scale != 1.0:
+            return
+        for row, (idx, d) in stencils.items():
+            exact = np.sum((2 * nodes - halves[row]) ** 2, axis=1)
+            inside = np.flatnonzero(exact < reach2[rung[row]])
+            np.testing.assert_array_equal(idx, inside[np.lexsort((inside, exact[inside]))])
+            assert d.tobytes() == np.sqrt(exact[idx] / 4.0).tobytes()
+
+
+class TestSearchEdges:
+    """Trusted sets and targets at the edges of the cell grid."""
+
+    def test_targets_outside_the_bounding_box(self):
+        pts = np.array(np.meshgrid(np.arange(6.0), np.arange(4.0))).reshape(2, -1).T
+        targets = np.array([[-3.0, 1.5], [10.0, 10.0], [2.5, -0.5], [-40.0, -40.0], [6.5, 4.5]])
+        for side in (0.5, 1.0, 3.0):
+            rung, _ = assert_matches_brute_force(pts, targets, [1.0, 2.0, 4.0, 8.0, 16.0], 6, side)
+            assert rung[3] == 5 and np.sum(rung < 5) == 4  # one beyond the last rung
+
+    def test_far_offset_grid(self):
+        # a grid far from the coordinate origin: nodes near 1e6 with a
+        # spacing of 0.1, where coordinates and distances round at 1e-10
+        rng = np.random.default_rng(7)
+        pts = 1e6 + 0.1 * np.array(np.meshgrid(np.arange(9.0), np.arange(9.0))).reshape(2, -1).T
+        targets = 1e6 + rng.uniform(-0.2, 1.0, (40, 2))
+        for side in (0.05, 0.1, 0.3):
+            assert_matches_brute_force(pts, targets, 0.1 * 1.5 ** np.arange(6), 9, side)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_node_a_hair_inside_the_rung_on_a_cell_edge(self, dim):
+        # the nodes at distance 3 along the axes are inside the rung
+        # 3 + 1e-12 and lie on cell edges; the box of that rung is the one
+        # gathered, so a box not widened past the rung would drop them
+        line = np.arange(-5.0, 6.0) if dim == 2 else np.arange(-10.0, 11.0)
+        pts = np.array(np.meshgrid(*[line] * dim)).reshape(dim, -1).T
+        targets = np.zeros((1, dim))
+        k = 20 if dim == 2 else 4
+        ladder = [1.0, 3.0 + 1e-12, 10.0]
+        for side in (0.5, 1.0, 3.0):
+            rung, stencils = assert_matches_brute_force(pts, targets, ladder, k, side)
+            assert rung[0] == 1
+            assert stencils[0][1][-1] == 3.0 and stencils[0][1].size == (29 if dim == 2 else 7)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exactly_required_neighbors_trusted(self, dim):
+        # the trusted set is the required_neighbors nodes nearest the
+        # exposed ones: a node is fitted once the ladder reaches them all
+        if dim == 1:
+            g = SpatialGrid.uniform_1d(0.0, 1.0, 60)
+            centre = np.array([0.5])
+        else:
+            xs = np.linspace(0.0, 1.0, 12)
+            pts = np.array(np.meshgrid(xs, xs)).reshape(2, -1).T
+            g = SpatialGrid(dim=2, coords=pts, quad_weights=np.full(144, 1 / 121))
+            centre = np.array([0.5, 0.5])
+        cfg = MlsConfig(order=1, max_growths=5)
+        need = cfg.required_neighbors(dim)
+        order = np.lexsort((np.arange(g.n_nodes), np.sum((g.coords - centre) ** 2, axis=1)))
+        history = np.zeros(g.n_nodes, bool)
+        history[order[2 : 2 + need]] = True
+        exposed = order[:2]
+        field = np.cos(3 * g.coords.sum(axis=1))
+        report = TestCorrectionOracle.compare(field, exposed, history, g, cfg)
+        assert len(report.rows) == 2
+        for node, h, *_ in report.rows:
+            d = np.sqrt(np.sum((g.coords[history] - g.coords[node]) ** 2, axis=1))
+            assert d.max() < h
+        trusted = g.coords[history]
+        ladder = 3 * g.spacing() * 1.5 ** np.arange(6)
+        assert_matches_brute_force(trusted, g.coords[exposed], ladder, need, ladder[0] / 2)
+
+    def test_every_target_past_the_last_rung(self):
+        pts = np.array(np.meshgrid(np.arange(5.0), np.arange(5.0))).reshape(2, -1).T
+        targets = np.array([[2.0, 2.0], [0.5, 0.5], [30.0, 0.0]])
+        ladder = np.array([0.5, 1.0, 1.5])
+        for k in (10, 25, 26):
+            rung, fitted, idx, d, sizes = _Buckets(pts, 1.0).stencils(targets, ladder, k)
+            assert rung.tolist() == [3, 3, 3]
+            assert fitted.size == idx.size == d.size == sizes.size == 0
+        g = SpatialGrid(dim=2, coords=pts, quad_weights=np.ones(25))
+        history = np.ones(25, bool)
+        history[[12, 6]] = False
+        out, report = correct_field(np.ones(25), [12, 6], history, g,
+                                    MlsConfig(order=1, kernel_len=0.5, max_growths=1))
+        assert report.rows == [] and report.uncorrected == [12, 6]
+        np.testing.assert_array_equal(out, np.ones(25))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_node_wide_strip(self, axis):
+        # every trusted node on one line of the plane: the cell grid is one
+        # row (or one column) of cells
+        line = np.arange(20.0) * 0.25
+        pts = np.zeros((20, 2))
+        pts[:, axis] = line
+        rng = np.random.default_rng(axis)
+        targets = rng.uniform(-1.0, 6.0, (30, 2))
+        for side in (0.1, 0.25, 1.0):
+            assert_matches_brute_force(pts, targets, 0.5 * 1.5 ** np.arange(5), 4, side)
