@@ -10,8 +10,8 @@ minimum.  This script sweeps the tolerances to show how each bound moves.
 
 import numpy as np
 
-from mbrom import BurgersConfig, build, burgers_snapshots
-from mbrom.gpr import gpr_horizon_modes, weighted_sigma
+from mbrom import BurgersConfig, build, burgers_snapshots, forecast
+from mbrom.gpr import gpr_horizon_modes
 from mbrom.pod import pod_horizon
 
 cfg = BurgersConfig(reynolds=100.0)
@@ -40,7 +40,7 @@ for beta in (0.01, 0.03, 0.1, 0.3):
         beta,
         model.scan_step,
     )
-    sigma = weighted_sigma(model.mode_models, model.basis.eigenvalues, h.t_star)
+    sigma = forecast(model, h.t_star, force=True).sigma_weighted
     print(f"  beta_gpr = {beta:4.2f} -> t* = {h.t_star:.4f}  "
           f"(weighted sigma there: {sigma:.2e})")
 

@@ -34,9 +34,8 @@ from .gpr import (
     nlml,
     train,
     train_many,
-    weighted_sigma,
 )
-from .mls import MlsConfig, StencilCache, correct_field, mls_value, wendland_c2
+from .mls import MlsConfig, StencilCache, correct_field, wendland_c2
 from .pod import (
     PodBasis,
     decompose,

@@ -186,7 +186,7 @@ def cmd_build(args) -> int:
         "R": model.basis.retained,
         "eigenvalues": model.basis.eigenvalues.tolist(),
         "rrms_tail": model.basis.rrms_tail,
-        "ric": model.basis.ric.tolist(),
+        "ric": pod_mod.ric(model.basis).tolist(),
         "mode_hyperparameters": [
             {"theta_f": m.theta_f, "theta_l": m.theta_l, "noise_std": m.noise_std}
             for m in model.mode_models

@@ -51,11 +51,15 @@ def _median(v: np.ndarray) -> float:
 
 
 def _require_finite_fields(record) -> None:
-    """Reject a config dataclass with a NaN or infinite field, naming the
-    field; a field of None is unset and passes."""
+    """Reject a config dataclass with a field that is a bool, not a number,
+    NaN or infinite, naming the field; a field of None is unset and passes."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if value is not None and not np.isfinite(value):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{f.name} must be a number, not {value!r}")
+        if not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "nlml",
     "train",
     "train_many",
-    "weighted_sigma",
     "energy_weighted",
     "gpr_horizon_modes",
     "gpr_horizon_boundary",
@@ -494,11 +493,6 @@ def energy_weighted(sigmas: np.ndarray, lambdas: np.ndarray) -> float:
     the R deviations ``sigmas`` of the leading modes."""
     lam = np.asarray(lambdas, dtype=float).ravel()
     return float((lam[: len(sigmas)] * sigmas).sum() / lam.sum())
-
-
-def weighted_sigma(models: list[GprModel], lambdas: np.ndarray, t_query: float) -> float:
-    """``energy_weighted`` of the mode GPs' posterior deviations at ``t_query``."""
-    return energy_weighted(GprStack(models).predict(t_query)[1][:, 0], lambdas)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ is 0 everywhere else.  A node the correction leaves uncorrected reads 0.
 
 This module holds the program's one local fit: the cell-grid stencil
 search (``_Buckets``, numpy alone) and the shape-function kernel
-(``mls._shape_functions``), through which the fit is used.  The value at
+(``_shape_functions``, called by ``StencilCache`` alone).  ``correct_field``
+is the one entry, for a forecast's field and a lone field alike.  The value at
 node j is linear in the field, v_j = a_j . f[S_j], where S_j is the node's
 stencil (the trusted nodes strictly inside its radius h_j) and
 a_j = W P M^-1 e_0 are its shape functions.  S_j, h_j and a_j depend on
@@ -51,7 +52,6 @@ __all__ = [
     "MlsConfig",
     "CorrectionReport",
     "wendland_c2",
-    "mls_value",
     "correct_field",
     "StencilCache",
     "LEBESGUE_WARN",
@@ -346,6 +346,10 @@ class MlsConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
+        for name in ("order", "max_growths"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if self.kernel_len is not None and self.kernel_len <= 0:
@@ -360,42 +364,6 @@ class MlsConfig:
 
     def required_neighbors(self, dim: int) -> int:
         return int(np.ceil(self.min_neighbor_factor * self.n_terms(dim)))
-
-
-def mls_value(
-    xp: np.ndarray,
-    points: np.ndarray,
-    values: np.ndarray,
-    cfg: MlsConfig,
-    h: float | None = None,
-) -> float:
-    """Fitted field value at ``xp`` from the neighbors ``points``.
-
-    Neighbors must lie within the support radius ``h`` (``cfg.kernel_len``
-    when not given).  The value is a . values, with a the shape functions of
-    the weighted fit over this one stencil.
-    """
-    xp = np.atleast_1d(np.asarray(xp, dtype=float)).ravel()
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != xp.shape[0]:
-        points = points.T
-    values = np.asarray(values, dtype=float).ravel()
-    dim = xp.shape[0]
-    h = cfg.kernel_len if h is None else h
-    if h is None or h <= 0:
-        raise ValueError("a positive support radius is required")
-    need = cfg.required_neighbors(dim)
-    if points.shape[0] < need:
-        raise ValueError(
-            f"{points.shape[0]} neighbors, need at least {need} "
-            f"({cfg.min_neighbor_factor} x {cfg.n_terms(dim)} terms)"
-        )
-    d = np.sqrt(np.sum((points - xp) ** 2, axis=1))
-    if np.any(d >= h):
-        raise ValueError("neighbor outside the support radius")
-    w = wendland_c2(d / h)
-    shape = _shape_functions((points - xp) / h, w, np.array([points.shape[0]]), cfg.order)
-    return float(np.sum(shape * values))
 
 
 @dataclass

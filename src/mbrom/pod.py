@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SnapshotSet, inner_product
+from .data import SnapshotSet
 from .gpr import Horizon
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "truncate_to",
     "project",
     "reconstruct",
-    "reconstruction_error",
     "ric",
     "pod_horizon",
 ]
@@ -48,10 +47,6 @@ class PodBasis:
         """Relative root-mean-square error of the discarded modes."""
         lam = self.eigenvalues
         return float(np.sqrt(lam[self.retained :].sum() / lam.sum()))
-
-    @property
-    def ric(self) -> np.ndarray:
-        return ric(self)
 
     def tail_energy(self, r: int | None = None) -> float:
         r = self.retained if r is None else r
@@ -121,19 +116,6 @@ def reconstruct(b: PodBasis, mean: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     if coeffs.shape[0] != b.retained:
         raise ValueError(f"{coeffs.shape[0]} coefficients for {b.retained} modes")
     return np.asarray(mean, dtype=float) + coeffs @ b.modes[: b.retained]
-
-
-def reconstruction_error(s: SnapshotSet, b: PodBasis, r: int) -> float:
-    """Aggregate L2 truncation error over all snapshots at mode count ``r``.
-
-    Equals sqrt(sum of the tail eigenvalues) exactly; computed here by direct
-    reconstruction so the identity can be tested against the spectrum.
-    """
-    total = 0.0
-    for i in range(s.n_snapshots):
-        resid = s.fluct[i] - b.coeffs[i, :r] @ b.modes[:r]
-        total += inner_product(resid, resid, s.grid)
-    return float(np.sqrt(total))
 
 
 def ric(b: PodBasis) -> np.ndarray:

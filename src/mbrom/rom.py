@@ -89,7 +89,8 @@ class Thresholds:
         for f in fields(self):
             value = getattr(self, f.name)
             upper = 1.0 if f.name.endswith("_pod") else np.inf
-            if not (isinstance(value, (int, float)) and 0.0 < value < upper):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0.0 < value < upper):
                 raise ValueError(f"{f.name} must lie in (0, {upper:g}), got {value!r}")
 
 
@@ -159,10 +160,6 @@ class RomModel:
         R = len(self.mode_models)
         gamma = mu[R:, 0] if self.boundary_models is not None else None
         return mu[:R, 0], sd[:R, 0], gamma
-
-    def fluid_mask_at(self, t_query: float) -> np.ndarray | None:
-        """Predicted fluid mask at the query time, from the boundary GPs."""
-        return self._fluid_mask(self.posterior(t_query)[2])
 
     def _fluid_mask(self, gamma: np.ndarray | None) -> np.ndarray | None:
         if gamma is None:

@@ -6,12 +6,24 @@ the plain definition it is checked against.  ``_local_fit`` is the batched
 coefficient fit the library used before its one shape-function kernel:
 ``batched_correct_oracle`` is the correction on it, the reference for the
 shape-function form to within rounding.
+
+``lone_fit`` is not an oracle: it runs the library's correction on one node
+from given neighbours, the one path into the fit that the reproduction and
+convergence-rate checks take.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from mbrom.mls import _poly_matrix, _poly_terms, _term_name, wendland_c2
+from mbrom.data import SpatialGrid
+from mbrom.mls import (
+    MlsConfig,
+    _poly_matrix,
+    _poly_terms,
+    _term_name,
+    correct_field,
+    wendland_c2,
+)
 
 
 def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
@@ -178,3 +190,21 @@ def batched_correct_oracle(field_values, exposed, fluid_history, grid, cfg):
     ]
     corrected[nodes] = new_vals
     return corrected, rows, uncorrected
+
+
+def lone_fit(xp, points, values, order, h):
+    """The MLS fit of ``order`` at ``xp`` over the trusted nodes ``points``
+    holding ``values``, all strictly inside the support radius ``h``.
+
+    ``correct_field`` corrects node 0 of a grid of the target followed by
+    the neighbours, with the one-rung ladder h (``kernel_len = h``, no
+    growth) and 1.5 neighbours per polynomial term required.
+    """
+    xp = np.atleast_1d(np.asarray(xp, dtype=float))
+    coords = np.vstack([xp, np.asarray(points, dtype=float).reshape(-1, xp.size)])
+    grid = SpatialGrid(dim=xp.size, coords=coords, quad_weights=np.ones(len(coords)))
+    cfg = MlsConfig(order=order, kernel_len=h, min_neighbor_factor=1.5, max_growths=0)
+    history = np.arange(len(coords)) > 0
+    out, report = correct_field(np.append(0.0, values), [0], history, grid, cfg)
+    assert report.nodes.tolist() == [0], "the target was left uncorrected"
+    return float(out[0])

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import json
 import tempfile
 from pathlib import Path
@@ -408,3 +409,18 @@ def test_numerical_module_does_no_file_io(module):
         elif isinstance(node, ast.ImportFrom):
             imported |= {(node.module or "").split(".")[0]} | {a.name for a in node.names}
     assert not imported & banned
+
+
+def test_every_public_name_resolves():
+    # a name deleted from a module but left in its __all__, or still imported
+    # by the package, fails here rather than in a user's import
+    package = Path(mbrom.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        module = "mbrom" if path.stem == "__init__" else f"mbrom.{path.stem}"
+        exec(f"from {module} import *", {})
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            owner = importlib.import_module(f"mbrom.{node.module}")
+            for alias in node.names:
+                assert hasattr(owner, alias.name), f"mbrom.{node.module}.{alias.name}"
+                assert hasattr(mbrom, alias.asname or alias.name)

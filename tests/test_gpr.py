@@ -15,12 +15,12 @@ from mbrom.gpr import (
     GprModel,
     GprStack,
     Kernel,
+    energy_weighted,
     gpr_horizon_boundary,
     gpr_horizon_modes,
     kernel_matrix,
     nlml,
     train,
-    weighted_sigma,
 )
 from mbrom.rom import _load_gp, _save_gp, build, forecast, load_rom_model, save_rom_model
 from test_gpr_training import FIXTURES, _disk_snapshots
@@ -357,11 +357,11 @@ class TestHorizonModes:
 
     def test_weighted_sigma_reference(self):
         models = [_fixed_posterior(2.0, 0.1), _fixed_posterior(1.0, 0.2)]
-        lam = np.array([4.0, 1.0])
-        assert weighted_sigma(models, lam, 0.0) == pytest.approx(0.12)
+        sigmas = GprStack(models).predict(0.0)[1][:, 0]
+        assert energy_weighted(sigmas, np.array([4.0, 1.0])) == pytest.approx(0.12)
         # padding the spectrum changes only the normalization
         lam5 = np.array([4.0, 1.0, 0.0, 0.0, 0.0])
-        assert weighted_sigma(models, lam5, 0.0) == pytest.approx(0.12)
+        assert energy_weighted(sigmas, lam5) == pytest.approx(0.12)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(2)

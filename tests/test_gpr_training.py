@@ -28,13 +28,13 @@ from mbrom.gpr import (
     GprStack,
     Kernel,
     _scan,
+    energy_weighted,
     gpr_horizon_boundary,
     gpr_horizon_modes,
     kernel_matrix,
     nlml,
     train,
     train_many,
-    weighted_sigma,
 )
 from mbrom.rom import build, forecast, save_rom_model
 
@@ -345,7 +345,7 @@ class TestHorizonScanOracle:
 
     @pytest.mark.parametrize("name", ["cavity-nr270", "disk"])
     def test_stacked_posteriors_equal_per_gp_predictions(self, models, name):
-        # the scans, weighted_sigma and forecast predict through one GprStack;
+        # the scans, the posterior and forecast predict through one GprStack;
         # each GP's column is the bits of its own GprModel.predict
         m = models(name)
         for gps in (m.mode_models, m.boundary_models):
@@ -362,7 +362,7 @@ class TestHorizonScanOracle:
 
         t_a = m.horizons["gpr_a"].t_star
         for t in (m.tM, t_a, m.tM + 2.5 * m.scan_step, m.t_star + 1.0):
-            assert weighted_sigma(m.mode_models, lam, t) == per_gp(t)
+            assert energy_weighted(m.posterior(t)[1], lam) == per_gp(t)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert forecast(m, t, force=True).sigma_weighted == per_gp(t)

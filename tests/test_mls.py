@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from local_fit_oracles import lone_fit
 from mbrom.cli import _write_correction_report
 from mbrom.data import SpatialGrid
 from mbrom.mls import (
@@ -12,7 +13,6 @@ from mbrom.mls import (
     MlsConfig,
     StencilCache,
     correct_field,
-    mls_value,
     wendland_c2,
 )
 
@@ -31,27 +31,25 @@ class TestWeight:
 
 
 class TestMlsFit:
+    """The fit at one target from given neighbours, through ``correct_field``
+    on a grid of the target and its neighbours (``lone_fit``)."""
+
     def test_linear_reproduction(self):
-        cfg = MlsConfig(order=1, min_neighbor_factor=1.5)
         xs = np.linspace(-0.4, 0.4, 9)
-        vals = 2.0 * xs + 1.0
-        xp = 0.05
-        val = mls_value(xp, xs[:, None], vals, cfg, h=1.0)
-        assert val == pytest.approx(2.0 * xp + 1.0, abs=1e-12)
+        val = lone_fit(0.05, xs, 2.0 * xs + 1.0, order=1, h=1.0)
+        assert val == pytest.approx(2.0 * 0.05 + 1.0, abs=1e-12)
 
     def test_cubic_reproduction_1d(self):
-        cfg = MlsConfig(order=3, min_neighbor_factor=1.5)
         xs = np.linspace(-0.5, 0.5, 12)
         f = lambda x: 0.3 * x**3 - 2 * x**2 + x - 4
-        val = mls_value(0.08, xs[:, None], f(xs), cfg, h=1.2)
+        val = lone_fit(0.08, xs, f(xs), order=3, h=1.2)
         assert val == pytest.approx(f(0.08), abs=1e-9)
 
     def test_quadratic_reproduction_2d(self):
-        cfg = MlsConfig(order=2, min_neighbor_factor=1.5)
         gx, gy = np.meshgrid(np.linspace(-1, 1, 7), np.linspace(-1, 1, 7))
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         f = lambda p: 1.0 + p[:, 0] - 2 * p[:, 1] + 0.5 * p[:, 0] * p[:, 1]
-        val = mls_value(np.array([0.1, -0.2]), pts, f(pts), cfg, h=3.0)
+        val = lone_fit([0.1, -0.2], pts, f(pts), order=2, h=3.0)
         assert val == pytest.approx(
             f(np.array([[0.1, -0.2]]))[0], abs=1e-9
         )
@@ -60,43 +58,28 @@ class TestMlsFit:
         # fit error at the target shrinks ~ h^(s+1); asymmetric stencil so no
         # symmetry superconvergence masks the rate
         for s in (1, 2, 3):
-            cfg = MlsConfig(order=s, min_neighbor_factor=1.5)
             errs = []
             hs = [0.4, 0.2, 0.1, 0.05]
             for h in hs:
                 xs = np.linspace(-0.3 * h, 0.95 * h, 24)
-                val = mls_value(0.0, xs[:, None], np.exp(xs), cfg, h=h)
+                val = lone_fit(0.0, xs, np.exp(xs), order=s, h=h)
                 errs.append(abs(val - 1.0) + 1e-18)
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             # average observed rate across the three halvings
             assert abs(rates.mean() - (s + 1)) <= 0.5
 
-    def test_too_few_neighbors(self):
-        cfg = MlsConfig(order=3, min_neighbor_factor=2.0)
-        xs = np.linspace(-0.5, 0.5, 5)
-        with pytest.raises(ValueError, match="5 neighbors, need at least 8"):
-            mls_value(0.0, xs[:, None], xs, cfg, h=1.0)
-
-    def test_neighbor_outside_radius(self):
-        cfg = MlsConfig(order=1, min_neighbor_factor=1.0)
-        xs = np.array([-0.2, 0.0, 0.3, 2.0])
-        with pytest.raises(ValueError, match="support radius"):
-            mls_value(0.0, xs[:, None], xs, cfg, h=1.0)
-
     def test_rank_deficiency_names_direction(self):
         # collinear 2D neighbors cannot resolve the y direction
-        cfg = MlsConfig(order=1, min_neighbor_factor=1.0)
         pts = np.column_stack([np.linspace(-0.5, 0.5, 8), np.zeros(8)])
         with pytest.raises(ValueError, match="rank-deficient.*y"):
-            mls_value(np.array([0.0, 0.0]), pts, np.ones(8), cfg, h=1.0)
+            lone_fit([0.0, 0.0], pts, np.ones(8), order=1, h=1.0)
 
     def test_moment_matrix_spd_when_resolved(self):
         rng = np.random.default_rng(5)
-        cfg = MlsConfig(order=2, min_neighbor_factor=1.5)
         for _ in range(10):
             pts = rng.uniform(-0.8, 0.8, (25, 2))
             vals = rng.standard_normal(25)
-            assert np.isfinite(mls_value(np.zeros(2), pts, vals, cfg, h=2.0))
+            assert np.isfinite(lone_fit(np.zeros(2), pts, vals, order=2, h=2.0))
 
 
 class TestCorrectField:
@@ -261,8 +244,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             MlsConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("order", 2.5, "order must be an integer, not 2.5"),
+        ("max_growths", 1.5, "max_growths must be an integer, not 1.5"),
+        ("order", True, "order must be a number, not True"),
+        ("max_growths", False, "max_growths must be a number, not False"),
+        ("min_neighbor_factor", True, "min_neighbor_factor must be a number, not True"),
+        ("kernel_len", "x", "kernel_len must be a number, not 'x'"),
+    ], ids=["fraction-order", "fraction-growths", "bool-order", "bool-growths",
+            "bool-factor", "string-kernel-len"])
+    def test_not_a_number_or_not_an_integer_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MlsConfig(**{field: value})
+
     def test_required_neighbors(self):
         cfg = MlsConfig(order=3, min_neighbor_factor=6.0)
         assert cfg.n_terms(1) == 4
         assert cfg.required_neighbors(1) == 24
         assert cfg.n_terms(2) == 10
+        # numpy integers are integers
+        cfg = MlsConfig(order=np.int64(2), max_growths=np.uint8(3))
+        assert cfg.required_neighbors(2) == 36

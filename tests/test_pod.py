@@ -13,12 +13,11 @@ from mbrom.pod import (
     pod_horizon,
     project,
     reconstruct,
-    reconstruction_error,
     ric,
     truncate,
     truncate_to,
 )
-from pod_oracles import correlation_matrix
+from pod_oracles import correlation_matrix, reconstruction_error
 
 
 def unit_grid(n):
