@@ -25,6 +25,14 @@ __all__ = [
 ]
 
 
+def _require_integer(cfg, name: str) -> None:
+    """A grid size that is not an integer (numpy integers count) is a
+    ValueError naming the field."""
+    value = getattr(cfg, name)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class BurgersConfig:
     """Burgers fixture: u_t + u u_x = u_xx / Re on (0,1), homogeneous ends."""
@@ -34,6 +42,7 @@ class BurgersConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
+        _require_integer(self, "nx")
         if self.reynolds <= 0:
             raise ValueError("Reynolds number must be positive")
         if self.nx < 2:
@@ -96,6 +105,7 @@ class BubbleConfig:
 
     def __post_init__(self):
         _require_finite_fields(self)
+        _require_integer(self, "nr")
         if self.base_radius - abs(self.amplitude) <= 0:
             raise ValueError("radius law must stay positive")
         if self.r_max <= self.base_radius + abs(self.amplitude):

@@ -26,7 +26,10 @@ which is not saved with the model, so a process that loads a model for a
 single forecast (``mbrom forecast``) always starts cold.  Cold and warm
 caches give the same bits: every sum over a stencil runs over that
 stencil alone, and the K + 1 numbers of a node do not depend on the
-batch it was fitted in.
+batch it was fitted in.  The kernel works term-major: each monomial is one
+contiguous row over a chunk of stencil rows, the moments are per-stencil
+sums along those rows, and only the shape functions' last sum runs along a
+stencil row, as it did when the monomials were columns.
 
 The Lebesgue constant Lambda_j = sum |a_j| bounds how much the fit can
 amplify errors in the trusted values.  It is reported per corrected node
@@ -75,19 +78,6 @@ def _poly_terms(dim: int, order: int) -> list[tuple[int, ...]]:
     return [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
 
 
-def _poly_matrix(pts: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
-    """Monomials ``terms`` evaluated at each row of ``pts``: (N, n_terms)."""
-    order = max(sum(e) for e in terms)
-    pows = []
-    for x in pts.T:
-        pows.append([np.ones_like(x)])
-        for _ in range(order):
-            pows[-1].append(pows[-1][-1] * x)
-    return np.column_stack(
-        [reduce(operator.mul, (pows[d][p] for d, p in enumerate(e))) for e in terms]
-    )
-
-
 @lru_cache(maxsize=None)
 def _moment_layout(dim: int, order: int) -> tuple[list, list, np.ndarray]:
     """The fit's monomials up to ``order``, the moments' up to twice it,
@@ -111,17 +101,16 @@ def _term_name(e: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _d2(pts: np.ndarray, idx: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Squared distance from each target to its nodes ``idx`` (T, K) of ``pts``.
+def _d2(pts: np.ndarray, idx: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of ``at`` (E, dim) to node ``idx`` (E,)
+    of ``pts``.
 
-    The bits are those of ``np.sum((pts[idx] - targets[:, None, :]) ** 2,
-    axis=2)``: with at most two coordinates the sum is one addition.  It is
-    formed a coordinate column at a time, which skips numpy's slow gather of
-    point rows and its reduction over a length-2 axis.
+    The bits are those of ``np.sum((pts[idx] - at) ** 2, axis=1)``: with at
+    most two coordinates the sum is one addition.  It is formed a coordinate
+    column at a time, which skips numpy's slow gather of point rows and its
+    reduction over a length-2 axis.
     """
-    return reduce(
-        operator.add, [(p.take(idx) - x[:, None]) ** 2 for p, x in zip(pts.T, targets.T)]
-    )
+    return reduce(operator.add, [(p.take(idx) - x) ** 2 for p, x in zip(pts.T, at.T)])
 
 
 _BLOCK = 1 << 16  # candidate entries (targets x padded width) gathered at a time
@@ -142,7 +131,8 @@ class _Buckets:
 
     def __init__(self, pts: np.ndarray, side: float) -> None:
         n = len(pts)
-        plane = self._plane(pts).T.copy()
+        self.pts = pts
+        plane = self._plane(pts)
         self.origin = plane.min(axis=1)
         extent = plane.max(axis=1) - self.origin
         while (extent[0] // side + 1) * (extent[1] // side + 1) > 4 * n + 64:
@@ -150,27 +140,24 @@ class _Buckets:
         self.side = side
         # cell coordinates round at about 1e-16 of the extent; a box widened
         # by 1e-12 of it still holds every point its half-width reaches
-        self.slack = 1e-12 * max(extent) / side
+        self.slack = 1e-12 * extent.max() / side
         self.shape = (extent / side).astype(np.intp) + 1
         cells = ((plane - self.origin[:, None]) / side).astype(np.intp)
         cell = cells[0] * self.shape[1] + cells[1]
-        self.order = np.argsort(cell, kind="stable")
+        self.order = cell.argsort(kind="stable")
         counts = np.bincount(cell, minlength=self.shape.prod())
         self.starts = np.zeros(counts.size + 1, dtype=np.intp)
-        np.cumsum(counts, out=self.starts[1:])
+        counts.cumsum(out=self.starts[1:])
         table = np.zeros(self.shape + 1, dtype=np.intp)
-        np.cumsum(counts.reshape(self.shape), axis=0, out=table[1:, 1:])
-        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        counts.reshape(self.shape).cumsum(axis=0, out=table[1:, 1:])
+        table[1:, 1:].cumsum(axis=1, out=table[1:, 1:])
         self.table = table.ravel()
-        # index n stands for a point at infinity, whose d2 is inf
-        self.padded = np.full((n + 1, pts.shape[1]), np.inf)
-        self.padded[:n] = pts
 
     @staticmethod
     def _plane(x: np.ndarray) -> np.ndarray:
-        """(T, 2) cell-plane coordinates: a 1-D point lies on row 0."""
-        plane = np.zeros((len(x), 2))
-        plane[:, 2 - x.shape[1] :] = x
+        """(2, T) cell-plane coordinates: a 1-D point lies on row 0."""
+        plane = np.zeros((2, len(x)))
+        plane[2 - x.shape[1] :] = x.T
         return plane
 
     def _boxes(
@@ -184,7 +171,7 @@ class _Buckets:
         # end past the last cell floor(x + reach)
         reach = np.multiply.outer(r * ((1.0 + 1e-9) / self.side) + self.slack, (-1.0, 1.0))
         reach[:, 1] += 1.0
-        x = (self._plane(targets) - self.origin) / self.side
+        x = (self._plane(targets).T - self.origin) / self.side
         ends = np.floor(x[:, None, None, :] + reach[..., None])
         ends = np.minimum(np.maximum(ends, 0.0), self.shape).astype(np.intp)
         t = self.table.take(ends[..., 0, None] * (self.shape[1] + 1) + ends[..., None, :, 1])
@@ -199,20 +186,24 @@ class _Buckets:
 
         Returns (T, K) indices and squared distances, each row ordered by
         the squared distance, ties to the lower index, and padded with index
-        n and d2 = inf.
+        n and d2 = inf.  Only the points themselves get a distance.
         """
         rows = b[:, 0] - a[:, 0]
-        owner = np.repeat(np.arange(len(targets)), rows)
-        row = np.repeat(a[:, 0] - (np.cumsum(rows) - rows), rows) + np.arange(owner.size)
+        owner = np.arange(len(targets)).repeat(rows)
+        row = (a[:, 0] - rows.cumsum() + rows).repeat(rows) + np.arange(owner.size)
         row *= self.shape[1]
         first = self.starts[row + a[owner, 1]]
         sizes = self.starts[row + b[owner, 1]] - first
-        pos = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        idx = np.full((len(targets), int(counts.max())), len(self.order))
-        idx[np.arange(idx.shape[1]) < counts[:, None]] = self.order[pos]
+        pos = (first - sizes.cumsum() + sizes).repeat(sizes) + np.arange(sizes.sum())
+        real = np.arange(counts.max()) < counts[:, None]
+        idx = np.full(real.shape, len(self.order))
+        idx[real] = self.order[pos]
         idx.sort(axis=1)
-        d2 = _d2(self.padded, idx, targets)
-        order = np.argsort(d2, axis=1, kind="stable")
+        d2 = np.full(real.shape, np.inf)
+        d2[real] = _d2(self.pts, idx[real], targets.repeat(counts, axis=0))
+        # ties to the lower index: idx rises along each row, and the stable
+        # sort keeps that order; d2 >= 0 sorts as its int64 bits, faster
+        order = d2.view(np.int64).argsort(axis=1, kind="stable")
         order += np.arange(0, idx.size, idx.shape[1])[:, None]
         return idx.take(order), d2.take(order)
 
@@ -242,7 +233,7 @@ class _Buckets:
         its rung lies in (g, found], and a second gather at rung
         min(found, last) settles it or shows it lies beyond the last rung:
         no target is gathered more than twice.  A gather takes at most about
-        ``_BLOCK`` entries at a time, widest boxes first.
+        ``_BLOCK`` entries (targets x widest box) at a time.
         """
         T, L = len(targets), ladder.size
         a, b, counts = self._boxes(targets, ladder)
@@ -252,16 +243,13 @@ class _Buckets:
         parts = [(empty, empty, np.zeros(0), empty)]
         pending = np.flatnonzero(counts[:, -1] >= k)
         while pending.size:
-            width = counts[pending, g[pending]]
-            by_width = np.argsort(-width, kind="stable")
-            pending, width = pending[by_width], width[by_width]
             last = g[pending]
-            start = 0
-            while start < pending.size:
-                stop = start + max(1, _BLOCK // int(width[start]))
-                chunk, gi, wide = pending[start:stop], last[start:stop], width[start:stop]
+            width = counts[pending, last]
+            step = max(1, _BLOCK // int(width.max()))
+            for start in range(0, pending.size, step):
+                chunk, gi = pending[start : start + step], last[start : start + step]
+                wide = width[start : start + step]
                 idx, d2 = self._gather(targets[chunk], a[chunk, gi], b[chunk, gi], wide)
-                start = stop
                 found = np.searchsorted(ladder, np.sqrt(d2[:, k - 1]), side="right")
                 g[chunk] = np.minimum(found, L - 1)
                 done = found <= gi
@@ -282,19 +270,29 @@ def _shape_functions(
     """Shape functions of weighted least-squares polynomial fits over a batch
     of stencils stored end to end: the one local fit of the MLS correction.
 
-    Stencil t is ``counts[t]`` consecutive rows of ``offsets`` (positions
-    relative to its target, divided by its length scale) and of ``weights``.
-    Returns one a_k per row such that sum_k a_k f_k over a stencil is the
-    fit's value at its target: a = W P M^-1 e_0, with P the centered, scaled
-    monomials up to ``order`` and M = P^T W P, factored by Cholesky.  A fit
-    whose smallest pivot is at most 1e-6 of its largest, or whose M is not
-    positive definite, does not resolve every term: ValueError names the
-    direction the worst-conditioned fit of its chunk cannot resolve.  Every
-    sum runs over one stencil's rows alone, so a node's shape functions are
-    the same bits whichever batch it is fitted in.
+    Stencil t is ``counts[t]`` consecutive columns of ``offsets`` (dim,
+    rows: positions relative to its target, divided by its length scale)
+    and entries of ``weights``.  Returns one a_k per row such that
+    sum_k a_k f_k over a stencil is the fit's value at its target:
+    a = W P M^-1 e_0, with P the centered, scaled monomials up to ``order``
+    and M = P^T W P, factored by Cholesky.  A fit whose smallest pivot is at
+    most 1e-6 of its largest, or whose M is not positive definite, does not
+    resolve every term: ValueError names the direction the worst-conditioned
+    fit of its chunk cannot resolve.  Every sum runs over one stencil's rows
+    alone, so a node's shape functions are the same bits whichever batch it
+    is fitted in.
+
+    The work is term-major, ~4096 rows at a time: each coordinate's powers
+    up to 2 ``order`` are contiguous rows (repeated products), the moment
+    monomials are products of two such rows, P is gathered from them once,
+    they are weighted in place, and ``np.add.reduceat`` along the rows gives
+    the moments.  These are the products and per-stencil sums of a
+    row-major design matrix, so the bits are those of the column-stack form
+    (``tests/local_fit_oracles.column_stack_shape_functions``).
     """
     # M_il = sum_k w_k x_k^(e_i + e_l): the weighted moments up to twice the order
-    terms, terms2, pair = _moment_layout(offsets.shape[1], order)
+    dim, top = offsets.shape[0], 2 * order
+    terms, terms2, pair = _moment_layout(dim, order)
     T = counts.size
     starts = np.concatenate([[0], np.cumsum(counts)])
     e0 = np.zeros((T, len(terms), 1))
@@ -304,9 +302,23 @@ def _shape_functions(
     for a in range(0, T, step):
         b = min(a + step, T)
         rows = slice(starts[a], starts[b])
-        Q = _poly_matrix(offsets[rows], terms2)
-        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
-        mm = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])[:, pair]
+        w = weights[rows]
+        # pw[d, p] = x_d^p by repeated products, one contiguous row each
+        pw = np.empty((dim, top + 1, w.size))
+        pw[:, 0] = 1.0
+        for p in range(1, top + 1):
+            np.multiply(pw[:, p - 1], offsets[:, rows], out=pw[:, p])
+        if dim == 1:
+            Q = pw[0]  # terms2 are the powers 0..top
+        else:  # terms2 run (a, 0..top-a) for a = 0..top: one product per a
+            Q = np.empty((len(terms2), w.size))
+            k = 0
+            for e in range(top + 1):
+                np.multiply(pw[0, e], pw[1, : top + 1 - e], out=Q[k : k + top + 1 - e])
+                k += top + 1 - e
+        P = Q[pair[0]]  # the monomials e_0 + e_l = e_l
+        Q *= w
+        mm = np.add.reduceat(Q, starts[a:b] - starts[a], axis=1).T[:, pair]
         try:
             L = np.linalg.cholesky(mm)
             d = np.diagonal(L, axis1=1, axis2=2)
@@ -323,7 +335,10 @@ def _shape_functions(
             )
         y = np.linalg.solve(L, e0[a:b])
         coef = np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
-        shape[rows] = weights[rows] * np.sum(P * np.repeat(coef, counts[a:b], axis=0), axis=1)
+        # row-major (rows, n) products, so each row's sum runs as it always has
+        pc = np.repeat(coef, counts[a:b], axis=0)
+        np.multiply(P.T, pc, out=pc)
+        shape[rows] = w * pc.sum(axis=1)
     return shape
 
 
@@ -450,7 +465,8 @@ class StencilCache:
 
     def _fit(self, nodes, h, sel, d, counts, grid, cfg) -> None:
         hk = np.repeat(h, counts)
-        offsets = (self.hist_pts[sel] - np.repeat(grid.coords[nodes], counts, axis=0)) / hk[:, None]
+        at = np.repeat(grid.coords[nodes].T, counts, axis=1)
+        offsets = (self.hist_pts.T.take(sel, axis=1) - at) / hk
         shape = _shape_functions(offsets, wendland_c2(d / hk), counts, cfg.order)
         first = np.cumsum(counts) - counts
         self.lebesgue[nodes] = np.add.reduceat(np.abs(shape), first)

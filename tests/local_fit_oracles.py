@@ -5,12 +5,17 @@ The library batches the correction over a cell-grid search; this loop is
 the plain definition it is checked against.  ``_local_fit`` is the batched
 coefficient fit the library used before its one shape-function kernel:
 ``batched_correct_oracle`` is the correction on it, the reference for the
-shape-function form to within rounding.
+shape-function form to within rounding.  ``column_stack_shape_functions``
+is the library's kernel before it worked term-major, a monomial column at a
+time: the term-major kernel must give its bits.
 
 ``lone_fit`` is not an oracle: it runs the library's correction on one node
 from given neighbours, the one path into the fit that the reproduction and
 convergence-rate checks take.
 """
+
+import operator
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -18,12 +23,25 @@ from scipy.linalg import cho_factor, cho_solve
 from mbrom.data import SpatialGrid
 from mbrom.mls import (
     MlsConfig,
-    _poly_matrix,
+    _moment_layout,
     _poly_terms,
     _term_name,
     correct_field,
     wendland_c2,
 )
+
+
+def _poly_matrix(pts: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
+    """Monomials ``terms`` evaluated at each row of ``pts``: (N, n_terms)."""
+    order = max(sum(e) for e in terms)
+    pows = []
+    for x in pts.T:
+        pows.append([np.ones_like(x)])
+        for _ in range(order):
+            pows[-1].append(pows[-1][-1] * x)
+    return np.column_stack(
+        [reduce(operator.mul, (pows[d][p] for d, p in enumerate(e))) for e in terms]
+    )
 
 
 def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
@@ -47,6 +65,38 @@ def _cholesky_moments(mm: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarra
             f"{_term_name(terms[worst])} direction"
         )
     return L
+
+
+def column_stack_shape_functions(
+    offsets: np.ndarray,
+    weights: np.ndarray,
+    counts: np.ndarray,
+    order: int,
+) -> np.ndarray:
+    """``mbrom.mls._shape_functions`` as a row-major kernel: each ~4096-row
+    chunk's monomials are strided columns of one (rows, n_terms2) matrix,
+    joined by ``column_stack``, and the moments are reduced down its
+    columns.  Same arguments (``offsets`` is (dim, rows)), same products and
+    per-stencil sums, so the same bits and the same rank-deficiency error.
+    """
+    terms, terms2, pair = _moment_layout(offsets.shape[0], order)
+    T = counts.size
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    e0 = np.zeros((T, len(terms), 1))
+    e0[:, 0] = 1.0
+    shape = np.empty(starts[-1])
+    step = max(1, 4096 // int(counts.max()))  # ~4096 design-matrix rows at a time
+    for a in range(0, T, step):
+        b = min(a + step, T)
+        rows = slice(starts[a], starts[b])
+        Q = _poly_matrix(offsets[:, rows].T, terms2)
+        P = Q[:, pair[0]]  # the monomials e_0 + e_l = e_l
+        mm = np.add.reduceat(Q * weights[rows, None], starts[a:b] - starts[a])[:, pair]
+        L = _cholesky_moments(mm, terms)
+        y = np.linalg.solve(L, e0[a:b])
+        coef = np.linalg.solve(L.transpose(0, 2, 1), y)[:, :, 0]
+        shape[rows] = weights[rows] * np.sum(P * np.repeat(coef, counts[a:b], axis=0), axis=1)
+    return shape
 
 
 def _local_fit(

@@ -60,6 +60,17 @@ class TestBurgersExact:
         with pytest.raises(ValueError, match="^reynolds must be finite"):
             BurgersConfig(reynolds=value)
 
+    def test_fractional_nx_refused(self):
+        # refused at construction, not by a TypeError deep in the generator
+        with pytest.raises(ValueError, match=r"^nx must be an integer, not 100\.5$"):
+            BurgersConfig(nx=100.5)
+        with pytest.raises(ValueError, match="^nx must be an integer"):
+            BurgersConfig(nx=101.0)
+
+    def test_numpy_integer_nx_accepted(self):
+        snaps = burgers_snapshots(BurgersConfig(nx=np.int64(51)), 0.0, 1.0, 3)
+        assert snaps.fields.shape == (3, 51)
+
 
 class TestBurgersSnapshots:
     def test_mean_is_time_average(self):
@@ -165,3 +176,13 @@ class TestBubble:
     def test_non_finite_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             BubbleConfig(**{field: value})
+
+    def test_fractional_nr_refused(self):
+        with pytest.raises(ValueError, match=r"^nr must be an integer, not 60\.5$"):
+            BubbleConfig(nr=60.5)
+        with pytest.raises(ValueError, match="^nr must be an integer"):
+            BubbleConfig(nr=60.0)
+
+    def test_numpy_integer_nr_accepted(self):
+        snaps, _ = bubble_snapshots(BubbleConfig(nr=np.int32(60)), 51.0, 60.0, 3)
+        assert snaps.fields.shape == (3, 60)

@@ -10,9 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import mbrom.mls
-from local_fit_oracles import batched_correct_oracle, brute_stencils, correct_oracle
+from local_fit_oracles import (
+    batched_correct_oracle,
+    brute_stencils,
+    column_stack_shape_functions,
+    correct_oracle,
+)
 from mbrom.data import SpatialGrid
-from mbrom.mls import MlsConfig, StencilCache, _Buckets, _poly_terms, correct_field
+from mbrom.mls import (
+    MlsConfig,
+    StencilCache,
+    _Buckets,
+    _poly_terms,
+    _shape_functions,
+    correct_field,
+    wendland_c2,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -178,6 +191,66 @@ class TestShapeFunctions:
             assert np.all(np.abs(np.add.reduceat(a, first) - 1.0) <= 1e-12 * lam_fitted)
 
 
+def kernel_outcome(kernel, *args):
+    """The kernel's shape functions, or the text of its ValueError."""
+    try:
+        return kernel(*args)
+    except ValueError as err:
+        return str(err)
+
+
+class TestKernelOracle:
+    """The term-major kernel against the column-stack kernel it replaced
+    (``local_fit_oracles``), bit for bit."""
+
+    @staticmethod
+    def batch(seed, dim, order, stencils, chunks):
+        """A ragged batch of ``stencils`` stencils, or, for ``chunks`` > 1,
+        one long enough to span that many ~4096-row chunks of the kernel."""
+        rng = np.random.default_rng(seed)
+        n = len(_poly_terms(dim, order))
+        widest = int(rng.integers(n + 2, 4 * n + 40))
+        step = 4096 // widest  # stencils per chunk
+        T = stencils if chunks == 1 else (chunks - 1) * step + 1 + stencils % step
+        counts = rng.integers(n + 1, widest + 1, size=T)
+        counts[rng.integers(T)] = widest
+        assert -(-T // step) >= chunks
+        offsets = rng.uniform(-0.7, 0.7, (dim, counts.sum()))
+        return offsets, wendland_c2(np.sqrt(np.sum(offsets**2, axis=0))), counts
+
+    @pytest.mark.parametrize("dim, order", [(d, p) for d in (1, 2) for p in range(4)])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), stencils=st.integers(1, 40),
+           chunks=st.sampled_from([1, 3, 4]))
+    def test_term_major_kernel_gives_the_column_stack_bits(
+        self, dim, order, seed, stencils, chunks
+    ):
+        args = (*self.batch(seed, dim, order, stencils, chunks), order)
+        got = kernel_outcome(_shape_functions, *args)
+        want = kernel_outcome(column_stack_shape_functions, *args)
+        assert type(got) is type(want)
+        if isinstance(want, str):  # a near-singular draw: the same error
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3),
+           chunks=st.sampled_from([1, 3]))
+    def test_collinear_stencil_gives_the_same_error(self, seed, order, chunks):
+        # the last stencil's points lie on the line y = 0.5 x: no fit of
+        # order >= 1 resolves the direction across it
+        offsets, weights, counts = self.batch(seed, 2, order, 5, chunks)
+        last = slice(counts[:-1].sum(), None)
+        offsets[1, last] = 0.5 * offsets[0, last]
+        args = (offsets, weights, counts, order)
+        with pytest.raises(ValueError, match="^rank-deficient moment matrix") as got:
+            _shape_functions(*args)
+        with pytest.raises(ValueError) as want:
+            column_stack_shape_functions(*args)
+        assert str(got.value) == str(want.value)
+
+
 class TestStencilCache:
     @staticmethod
     def assert_same(a, b):
@@ -205,6 +278,41 @@ class TestStencilCache:
             got = [correct_field(field, e, history, grid, cfg, cache) for e in subsets[order_]]
             for a, b in zip(got, fresh[order_]):
                 self.assert_same(a, b)
+
+    def test_a_batch_over_several_chunks_gives_the_node_by_node_bits(self, monkeypatch):
+        # a 70 x 70 lattice around a unit disk at order 3: the cold batch of
+        # the exposed ring spans at least three chunks of the kernel, and
+        # fitting it at once, in reverse or node by node fills the cache alike
+        side = np.linspace(-3.0, 3.0, 70)
+        pts = np.array(np.meshgrid(side, side)).reshape(2, -1).T
+        grid = SpatialGrid(dim=2, coords=pts, quad_weights=np.full(len(pts), 36 / 69**2))
+        r = np.sqrt(np.sum(pts**2, axis=1))
+        history = r >= 1.0
+        exposed = np.flatnonzero((r >= 0.8) & ~history)
+        rng = np.random.default_rng(4)
+        mean, modes = rng.standard_normal(len(pts)), rng.standard_normal((2, len(pts)))
+        coeffs = np.array([0.3, -1.2])
+        field = mean + coeffs @ modes
+        cfg = MlsConfig(order=3)
+        kernel, chunks = mbrom.mls._shape_functions, []
+
+        def spy(offsets, weights, counts, order):
+            chunks.append(-(-counts.size // (4096 // int(counts.max()))))
+            return kernel(offsets, weights, counts, order)
+
+        monkeypatch.setattr(mbrom.mls, "_shape_functions", spy)
+        caches = []
+        for batches in ([exposed], [exposed[::-1]], [[j] for j in exposed]):
+            cache = StencilCache()
+            for e in batches:
+                correct_field(field, e, history, grid, cfg, cache, (mean, modes, coeffs))
+            caches.append(cache)
+        assert chunks[0] >= 3 and chunks[1] >= 3
+        for cache in caches[1:]:
+            np.testing.assert_array_equal(cache.rows, caches[0].rows)
+            np.testing.assert_array_equal(cache.h, caches[0].h)
+            np.testing.assert_array_equal(cache.lebesgue, caches[0].lebesgue)
+        assert np.isfinite(caches[0].h[exposed]).all()
 
     def test_new_history_set_replaces_entries(self):
         grid, rng = scatter(5, 14)
